@@ -11,6 +11,8 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -58,10 +60,39 @@ def save_checkpoint(path, params: XLinearParams, run_config: dict, scaler: dict,
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:  # checked before reading: a corrupt length must not allocate n bytes
+        raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, {left} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, got {len(buf)}")
     return buf
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_header(header, path):
+    """Raise IOFault unless ``header`` has the layout save_checkpoint writes."""
+    def corrupt(problem):
+        return IOFault(f"corrupt checkpoint header in {path}: {problem}")
+
+    if not isinstance(header, dict):
+        raise corrupt(f"a JSON {type(header).__name__}, not an object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise IOFault(f"unsupported checkpoint format version {header.get('format_version')!r}, "
+                      f"this build reads version {FORMAT_VERSION}")
+    if not all(isinstance(header.get(k), dict) for k in ("config", "scaler", "meta")):
+        raise corrupt("config, scaler and meta must be objects")
+    if not all(_is_int(header["meta"].get(k)) for k in ("n_endo", "n_exo")):
+        raise corrupt("meta.n_endo and meta.n_exo must be integers")
+    tensors = header.get("tensors")
+    if not (isinstance(tensors, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(_is_int(k) and k >= 0 for k in e["shape"]) for e in tensors)):
+        raise corrupt("tensors must be a list of {name: string, shape: list of ints >= 0}")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -75,15 +106,12 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as e:
             raise IOFault(f"corrupt checkpoint header in {path}: {e}") from e
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise IOFault(f"unsupported checkpoint format version {version!r}, "
-                          f"this build reads version {FORMAT_VERSION}")
+        _check_header(header, path)
         tensors = {}
         for entry in header["tensors"]:
             name, shape = entry["name"], tuple(entry["shape"])
             (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, f"length of {name}"))
-            expected = int(np.prod(shape, dtype=np.int64)) * 8
+            expected = math.prod(shape) * 8
             if nbytes != expected:
                 raise IOFault(f"tensor {name}: payload is {nbytes} bytes but shape "
                               f"{shape} needs {expected}")
@@ -91,7 +119,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise IOFault(f"trailing bytes after last tensor in {path}")
-    return Checkpoint(version=version, config=header["config"], tensors=tensors,
+    return Checkpoint(version=FORMAT_VERSION, config=header["config"], tensors=tensors,
                       scaler=header["scaler"], meta=header["meta"])
 
 

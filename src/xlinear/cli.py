@@ -14,15 +14,13 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import checkpoint as ckpt_io
 from . import data as dio
 from . import metrics as mx
 from . import model as mdl
 from . import training as tr
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, DataError, DimensionError, UsageError, XLinearError
+from .errors import ConfigError, UsageError, XLinearError
 
 CHECKPOINT_NAME = "checkpoint.bin"
 TRAINLOG_NAME = "train_log.csv"
@@ -60,15 +58,7 @@ def _train_once(run_cfg: RunConfig, ds, echo=True):
     return cfg, params, log
 
 
-def _scaler_dict(ds) -> dict:
-    return {
-        "variable_names": list(ds.variable_names),
-        "mean": [float(v) for v in ds.scaler_mean],
-        "std": [float(v) for v in ds.scaler_std],
-    }
-
-
-def _meta_dict(ds, cfg, params, log) -> dict:
+def _meta_dict(cfg, params, log) -> dict:
     return {
         "n_endo": cfg.n_endo,
         "n_exo": cfg.n_exo,
@@ -87,7 +77,7 @@ def cmd_train(args) -> int:
     os.makedirs(run_cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(run_cfg.out_dir, CHECKPOINT_NAME)
     ckpt_io.save_checkpoint(ckpt_path, params, run_cfg.resolved_dict(),
-                            _scaler_dict(ds), _meta_dict(ds, cfg, params, log))
+                            dio.scaler_dict(ds), _meta_dict(cfg, params, log))
     log.to_csv(os.path.join(run_cfg.out_dir, TRAINLOG_NAME))
     _write_json(os.path.join(run_cfg.out_dir, RESOLVED_NAME), run_cfg.resolved_dict())
     print(f"checkpoint: {ckpt_path}")
@@ -105,36 +95,12 @@ def _restore(checkpoint_path):
     return ckpt, run_cfg, cfg, params
 
 
-def _dataset_for_eval(ckpt, run_cfg: RunConfig, override_path):
-    """Rebuild the dataset in the checkpoint's scaled space.
-
-    The stored scaler is applied rather than refit, so an override file
-    is scored in the space the model was trained in.
-    """
-    d = run_cfg.data
-    path = override_path or d.csv_path
-    names, values, _ = dio.read_csv_values(path, d.limit_rows, d.date_column)
-    stored = ckpt.scaler
-    if list(names) != list(stored["variable_names"]):
-        raise DimensionError(
-            f"dataset columns {list(names)} do not match checkpoint variables "
-            f"{list(stored['variable_names'])}")
-    mean = np.asarray(stored["mean"], dtype=np.float64)
-    std = np.asarray(stored["std"], dtype=np.float64)
-    n = values.shape[0]
-    r = d.split_ratios
-    bounds = ((0, round(n * r[0])), (round(n * r[0]), round(n * (r[0] + r[1]))),
-              (round(n * (r[0] + r[1])), n))
-    return dio.TimeSeriesDataset(
-        variable_names=tuple(names), values=(values - mean) / std,
-        target_mode=d.target_mode, scaler_mean=mean, scaler_std=std,
-        split_bounds=bounds)
-
-
 def cmd_eval(args) -> int:
     ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
     run_cfg = _apply_overrides(run_cfg, args)
-    ds = _dataset_for_eval(ckpt, run_cfg, args.data)
+    d = run_cfg.data
+    ds = dio.load_csv_with_scaler(args.data or d.csv_path, ckpt.scaler, d.target_mode,
+                                  d.split_ratios, d.limit_rows, d.date_column)
     report = mx.evaluate(mdl.predictor(params, cfg), ds, args.split,
                          cfg.lookback, cfg.horizon, scaled=run_cfg.scaled_metrics)
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
@@ -146,56 +112,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _history_batch(ckpt, run_cfg: RunConfig, cfg, input_path):
-    """Last-L-rows window of an input CSV, scaled with the stored scaler."""
-    d = run_cfg.data
-    names, values, _ = dio.read_csv_values(input_path, date_column=d.date_column)
-    stored = ckpt.scaler
-    if list(names) != list(stored["variable_names"]):
-        raise DimensionError(
-            f"input columns {list(names)} do not match checkpoint variables "
-            f"{list(stored['variable_names'])}")
-    L = cfg.lookback
-    if values.shape[0] < L:
-        raise DataError(f"input has {values.shape[0]} rows; prediction needs the "
-                        f"trailing L = {L} rows of every variable")
-    mean = np.asarray(stored["mean"], dtype=np.float64)
-    std = np.asarray(stored["std"], dtype=np.float64)
-    scaled = (values[-L:] - mean) / std  # [L x V]
-    if d.target_mode == "multivariate":
-        endo = list(range(len(names)))
-        exo = endo
-    else:
-        endo = [len(names) - 1]
-        exo = list(range(len(names) - 1))
-    win = scaled.T  # [V x L]
-    return dio.WindowBatch(
-        endo_history=np.ascontiguousarray(win[endo][None, :, :]),
-        exo_history=np.ascontiguousarray(win[exo][None, :, :]),
-        endo_future=np.zeros((1, len(endo), cfg.horizon)),
-        origins=np.array([0]),
-    ), [names[j] for j in endo], mean[endo], std[endo]
-
-
 def cmd_predict(args) -> int:
     ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
-    run_cfg = _apply_overrides(run_cfg, args)
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     if not 1 <= horizon <= cfg.horizon:
         raise UsageError(f"--horizon must be in [1, {cfg.horizon}] for this "
                          f"checkpoint, got {horizon}")
-    batch, endo_names, mean, std = _history_batch(ckpt, run_cfg, cfg, args.input)
-    yhat, _ = mdl.forward(batch, params, training=False)
-    fc = yhat.data[0, :, :horizon] * std[:, None] + mean[:, None]  # original units
+    d = run_cfg.data
+    ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
+                                  date_column=d.date_column)
+    yhat, _ = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
+    fc = dio.inverse_scale_forecast(ds, yhat.data)[0, :, :horizon]
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "forecast.csv")
-    lines = ["step," + ",".join(endo_names)]
+    lines = ["step," + ",".join(ds.endo_names)]
     for s in range(horizon):
         lines.append(f"{s + 1}," + ",".join(repr(float(v)) for v in fc[:, s]))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"written: {out_path} ({horizon} steps x {len(endo_names)} variables)")
+    print(f"written: {out_path} ({horizon} steps x {ds.n_endo} variables)")
     return 0
 
 
@@ -257,15 +193,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_weights(args) -> int:
     ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
-    run_cfg = _apply_overrides(run_cfg, args)
-    batch, endo_names, _, _ = _history_batch(ckpt, run_cfg, cfg, args.input)
-    _, trace = mdl.forward(batch, params, training=False)
-    exo_names = [ckpt.scaler["variable_names"][j]
-                 for j in (range(len(ckpt.scaler["variable_names"]))
-                           if run_cfg.data.target_mode == "multivariate"
-                           else range(len(ckpt.scaler["variable_names"]) - 1))]
+    d = run_cfg.data
+    ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
+                                  date_column=d.date_column)
+    _, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
-    t_path, v_path = mdl.export_gating_weights(trace, out_dir, endo_names, exo_names)
+    t_path, v_path = mdl.export_gating_weights(trace, out_dir, ds.endo_names, ds.exo_names)
     print(f"written: {t_path}")
     print(f"written: {v_path}")
     return 0

@@ -10,10 +10,10 @@ reproduces the identical run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-from .model import ABLATIONS, GATE_ACTIVATIONS, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig
 
 # key -> (python type tag, default); None default means required
@@ -118,30 +118,16 @@ class RunConfig:
         )
 
     def resolved_dict(self) -> dict:
-        d = self.data
-        t = self.train
         return {
-            "data": {"csv_path": d.csv_path, "target_mode": d.target_mode,
-                     "split_ratios": list(d.split_ratios), "limit_rows": d.limit_rows,
-                     "date_column": d.date_column},
+            "data": {**asdict(self.data), "split_ratios": list(self.data.split_ratios)},
             "model": dict(self.model),
-            "train": {"lr_init": t.lr_init, "batch_size": t.batch_size,
-                      "max_epochs": t.max_epochs, "patience": t.patience, "seed": t.seed,
-                      "beta1": t.beta1, "beta2": t.beta2, "eps": t.eps},
+            "train": asdict(self.train),
             "eval": {"scaled_metrics": self.scaled_metrics},
             "out_dir": self.out_dir,
         }
 
     def model_config(self, n_endo: int, n_exo: int) -> ModelConfig:
-        m = self.model
-        return ModelConfig(
-            horizon=m["horizon"], n_endo=n_endo, n_exo=n_exo, lookback=m["lookback"],
-            d_model=m["d_model"], t_ff=m["t_ff"], c_ff=m["c_ff"],
-            embed_dropout=m["embed_dropout"], t_dropout=m["t_dropout"],
-            c_dropout=m["c_dropout"], head_dropout=m["head_dropout"],
-            gate_activation=m["gate_activation"], ablation=m["ablation"],
-            revin_affine=m["revin_affine"], share_embedding=m["share_embedding"],
-        ).validate()
+        return ModelConfig(n_endo=n_endo, n_exo=n_exo, **self.model).validate()
 
 
 _KIND_NAMES = {

@@ -1,4 +1,9 @@
-"""CSV ingestion, train/val/test splitting, scaling, and window batching."""
+"""CSV ingestion, train/val/test splitting, scaling, and window batching.
+
+Training fits the scaler (:func:`load_csv`, :func:`split_and_scale`);
+eval, predict and export-weights reapply the one a checkpoint stored
+(:func:`load_csv_with_scaler`, :func:`last_window`).
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, DimensionError, IOFault, UsageError
 
 TARGET_MODES = ("multivariate", "last-column-endogenous")
 
@@ -64,6 +69,10 @@ class TimeSeriesDataset:
     def endo_names(self) -> tuple:
         return tuple(self.variable_names[i] for i in self.endo_indices)
 
+    @property
+    def exo_names(self) -> tuple:
+        return tuple(self.variable_names[i] for i in self.exo_indices)
+
     def bounds_of(self, split: str) -> tuple:
         if self.split_bounds is None:
             raise UsageError("dataset has no splits; call split_and_scale first")
@@ -79,8 +88,8 @@ class WindowBatch:
 
     endo_history: np.ndarray  # [batch x M x L]
     exo_history: np.ndarray  # [batch x C x L]
-    endo_future: np.ndarray  # [batch x M x S]
-    origins: np.ndarray  # window start rows, maps windows back to the CSV
+    endo_future: np.ndarray | None = None  # [batch x M x S]; None when forecasting
+    origins: np.ndarray | None = None  # window start rows, maps windows back to the CSV
 
     def __len__(self):
         return self.endo_history.shape[0]
@@ -178,24 +187,33 @@ def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = N
     )
 
 
-def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int | None = None,
-                    horizon: int | None = None) -> TimeSeriesDataset:
-    """Split rows by ratio, fit a z-score scaler on train rows only, and
-    transform every row.
+def split_bounds(n: int, ratios) -> tuple:
+    """Row bounds ((0, a), (a, b), (b, n)) of train/val/test.
 
-    Bound arithmetic rounds the cumulative ratios, so (0.6, 0.2, 0.2) on
-    14400 rows gives exactly 8640/11520/14400. When ``lookback`` and
-    ``horizon`` are passed, each split must admit at least one window
-    (val/test windows may reach back ``lookback`` rows for history).
+    The cumulative ratios are rounded, so (0.6, 0.2, 0.2) on 14400 rows
+    gives exactly 8640/11520/14400.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
-    n = ds.n_rows
     train_end = round(n * ratios[0])
     val_end = round(n * (ratios[0] + ratios[1]))
-    bounds = ((0, train_end), (train_end, val_end), (val_end, n))
+    return ((0, train_end), (train_end, val_end), (val_end, n))
+
+
+def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int | None = None,
+                    horizon: int | None = None) -> TimeSeriesDataset:
+    """Split rows by ratio (:func:`split_bounds`), fit a z-score scaler on
+    train rows only, and transform every row.
+
+    When ``lookback`` and ``horizon`` are passed, each split must admit
+    at least one window (val/test windows may reach back ``lookback``
+    rows for history).
+    """
+    n = ds.n_rows
+    bounds = split_bounds(n, ratios)
+    train_end, val_end = bounds[1]
     if lookback is not None and horizon is not None:
         need = lookback + horizon
         for name, (a, b) in zip(("train", "val", "test"), bounds):
@@ -218,6 +236,46 @@ def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int | None = None,
                         f"{', '.join(repr(c) for c in flat)}; scaler std would be zero")
     return replace(ds, values=(ds.values - mean) / std,
                    scaler_mean=mean, scaler_std=std, split_bounds=bounds)
+
+
+def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
+                         limit_rows: int | None = None,
+                         date_column: str = "date") -> TimeSeriesDataset:
+    """Read a series CSV into the scaled space of a stored scaler.
+
+    ``scaler`` is a checkpoint's :func:`scaler_dict`. The file's columns
+    must match its variables; the stored statistics are applied as they
+    are, never refit, and constant columns are allowed, so any file is
+    scored in the space the model was trained in. Split bounds follow
+    ``ratios`` as in :func:`split_and_scale`.
+    """
+    names, values, stamps = read_csv_values(path, limit_rows, date_column)
+    try:
+        stored = list(scaler["variable_names"])
+        mean = np.asarray(scaler["mean"], dtype=np.float64)
+        std = np.asarray(scaler["std"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as e:
+        raise IOFault(f"malformed scaler in checkpoint: {e}") from None
+    if list(names) != stored:
+        raise DimensionError(
+            f"columns {list(names)} of {path} do not match checkpoint variables {stored}")
+    if mean.shape != (len(names),) or std.shape != mean.shape:
+        raise IOFault(f"malformed scaler in checkpoint: {len(names)} variables, "
+                      f"mean shape {mean.shape}, std shape {std.shape}")
+    return TimeSeriesDataset(
+        variable_names=names, values=(values - mean) / std, target_mode=target_mode,
+        timestamps=stamps, scaler_mean=mean, scaler_std=std,
+        split_bounds=split_bounds(values.shape[0], ratios))
+
+
+def scaler_dict(ds: TimeSeriesDataset) -> dict:
+    """The fitted scaler as a checkpoint stores it; read back by
+    :func:`load_csv_with_scaler`."""
+    return {
+        "variable_names": list(ds.variable_names),
+        "mean": [float(v) for v in ds.scaler_mean],
+        "std": [float(v) for v in ds.scaler_std],
+    }
 
 
 def window_origins(ds: TimeSeriesDataset, split: str, L: int, S: int) -> np.ndarray:
@@ -266,6 +324,19 @@ def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: 
         )
 
 
+def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
+    """The trailing ``L`` rows as one window to forecast from."""
+    if ds.n_rows < L:
+        raise DataError(f"input has {ds.n_rows} rows; prediction needs the "
+                        f"trailing L = {L} rows of every variable")
+    win = ds.values[-L:].T  # [V x L]
+    return WindowBatch(
+        endo_history=np.ascontiguousarray(win[list(ds.endo_indices)][None]),
+        exo_history=np.ascontiguousarray(win[list(ds.exo_indices)][None]),
+        origins=np.array([ds.n_rows - L]),
+    )
+
+
 def n_windows(ds: TimeSeriesDataset, split: str, L: int, S: int) -> int:
     return int(window_origins(ds, split, L, S).size)
 
@@ -283,11 +354,3 @@ def inverse_scale_forecast(ds: TimeSeriesDataset, yhat: np.ndarray) -> np.ndarra
     mean = ds.scaler_mean[idx].reshape(1, -1, 1)
     return yhat * std + mean
 
-
-def scale_rows(ds: TimeSeriesDataset, raw: np.ndarray) -> np.ndarray:
-    """Apply the fitted z-score transform to raw [rows x variables] data."""
-    if ds.scaler_mean is None or ds.scaler_std is None:
-        raise UsageError("scaler not fitted; call split_and_scale first")
-    if raw.shape[1] != ds.n_variables:
-        raise DataError(f"expected {ds.n_variables} variable columns, got {raw.shape[1]}")
-    return (raw - ds.scaler_mean) / ds.scaler_std

@@ -13,11 +13,12 @@ the gated tensor elementwise.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tc
+from .data import WindowBatch
 from .errors import ConfigError, DimensionError, NumericFault
 from .tensor import Tensor
 
@@ -171,7 +172,6 @@ class ForwardTrace:
     revin_stats: RevinStats
     time_gate: np.ndarray  # [batch x M x 2*d_model]
     variate_gate: np.ndarray  # [batch x (C+M) x d_model]
-    exo_gated: np.ndarray  # [batch x C x d_model], not consumed by the head
     prediction: np.ndarray  # [batch x M x S]
 
 
@@ -316,7 +316,7 @@ def forward(batch, params: XLinearParams, training: bool = False,
     x_endo, x_glob, time_gate = tgm(tok, params, training, rng)
     _check_finite(time_gate.data, "tgm")
 
-    x_glob2, e_gated, variate_gate = vgm(e_emb, x_glob, params, training, rng)
+    x_glob2, _, variate_gate = vgm(e_emb, x_glob, params, training, rng)
     _check_finite(variate_gate.data, "vgm")
 
     if cfg.ablation == "endo_only":
@@ -334,7 +334,6 @@ def forward(batch, params: XLinearParams, training: bool = False,
         revin_stats=stats,
         time_gate=time_gate.data,
         variate_gate=variate_gate.data,
-        exo_gated=e_gated.data,
         prediction=yhat.data,
     )
     return yhat, trace
@@ -344,13 +343,7 @@ def predictor(params: XLinearParams, cfg: ModelConfig):
     """Eval-mode closure mapping (endo_hist, exo_hist) arrays to forecasts."""
 
     def predict(endo_history: np.ndarray, exo_history: np.ndarray) -> np.ndarray:
-        class _Batch:
-            pass
-
-        b = _Batch()
-        b.endo_history = endo_history
-        b.exo_history = exo_history
-        yhat, _ = forward(b, params, training=False)
+        yhat, _ = forward(WindowBatch(endo_history, exo_history), params, training=False)
         return yhat.data
 
     return predict

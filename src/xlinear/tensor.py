@@ -33,12 +33,6 @@ class Tape:
     def __init__(self):
         self.nodes = []
 
-    def __len__(self):
-        return len(self.nodes)
-
-    def clear(self):
-        self.nodes.clear()
-
 
 @contextlib.contextmanager
 def record(tape: Tape):
@@ -84,9 +78,6 @@ class Tensor:
                 self.grad = np.zeros_like(self.data)
             else:
                 self.grad[...] = 0.0
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -14,9 +14,6 @@ from . import model as mdl
 from .errors import ConfigError, DimensionError, NumericFault
 from .tensor import Tape, Tensor, backward, record, tmean
 
-LR_MENU = (1e-4, 2e-4, 3e-4, 5e-4, 1e-3)
-BATCH_MENU = (4, 8, 16, 32, 64, 128, 256)
-
 
 @dataclass
 class TrainConfig:

@@ -4,6 +4,7 @@ JSON config layer, exit codes, and the error-line contract."""
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -12,10 +13,13 @@ import pytest
 
 from xlinear import checkpoint as ck
 from xlinear import cli
+from xlinear import data as dio
+from xlinear import metrics as mx
+from xlinear import model as mdl
 from xlinear.config import RunConfig, load_run_config
 from xlinear.errors import ConfigError
 
-from synth import write_synthetic_csv
+from synth import lagged_sine_series, write_synthetic_csv
 
 
 def make_config(tmp_dir, csv_path, **over):
@@ -256,6 +260,64 @@ class TestExportWeights:
         assert all(0.0 < v < 1.0 for v in vals)  # sigmoid gates
 
 
+class TestMultivariate:
+    """Every variable is both endogenous and exogenous: the CLI must
+    read, scale and label the CSV as the in-process dataset does."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli_m")
+        x, y = lagged_sine_series(400)
+        z = 0.5 * x + np.cos(np.arange(400) / 7.0)
+        csv_path = root / "series.csv"
+        csv_path.write_text("a,b,c\n" + "".join(
+            f"{float(p)!r},{float(q)!r},{float(r)!r}\n" for p, q, r in zip(x, y, z)))
+        tail = root / "tail.csv"
+        lines = csv_path.read_text().splitlines()
+        tail.write_text("\n".join(lines[:1] + lines[-24:]) + "\n")
+        cfg_path = make_config(root, csv_path, data={"target_mode": "multivariate"},
+                               train={"max_epochs": 1})
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        run_cfg = load_run_config(cfg_path)
+        d = run_cfg.data
+        ds = dio.split_and_scale(dio.load_csv(csv_path, d.target_mode), d.split_ratios, 24, 4)
+        checkpoint = root / "run" / cli.CHECKPOINT_NAME
+        ckpt = ck.load_checkpoint(checkpoint)
+        cfg = run_cfg.model_config(ds.n_endo, ds.n_exo)
+        params = ck.params_from_checkpoint(ckpt, cfg)
+        return {"csv": csv_path, "tail": tail, "checkpoint": checkpoint, "ds": ds,
+                "cfg": cfg, "params": params}
+
+    def test_predict_matches_last_window_forward(self, run, tmp_path, capsys):
+        ds = run["ds"]
+        win = np.ascontiguousarray(ds.values[-24:].T[None])  # [1 x V x L]
+        batch = dio.WindowBatch(endo_history=win, exo_history=win,
+                                endo_future=np.zeros((1, 3, 4)), origins=np.array([0]))
+        yhat, _ = mdl.forward(batch, run["params"], training=False)
+        expected = dio.inverse_scale_forecast(ds, yhat.data)[0].T  # [S x M]
+        for source in ("csv", "tail"):
+            assert cli.main(["predict", "--checkpoint", str(run["checkpoint"]),
+                             "--input", str(run[source]), "--out-dir", str(tmp_path)]) == 0
+            lines = (tmp_path / "forecast.csv").read_text().strip().split("\n")
+            assert lines[0] == "step,a,b,c"
+            got = np.array([[float(c) for c in ln.split(",")[1:]] for ln in lines[1:]])
+            np.testing.assert_array_equal(got, expected)
+
+    def test_eval_data_override_matches_in_process(self, run, tmp_path, capsys):
+        assert cli.main(["eval", "--checkpoint", str(run["checkpoint"]),
+                         "--data", str(run["csv"]), "--out-dir", str(tmp_path)]) == 0
+        report = mx.evaluate(mdl.predictor(run["params"], run["cfg"]), run["ds"], "test",
+                             24, 4, scaled=True)
+        assert (tmp_path / "metrics_test.csv").read_text() == report.as_csv_text()
+
+    def test_variate_gate_labels_every_exo_channel(self, run, tmp_path, capsys):
+        assert cli.main(["export-weights", "--checkpoint", str(run["checkpoint"]),
+                         "--input", str(run["csv"]), "--out-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "variate_gate.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["a", "b", "c", "glob_a", "glob_b",
+                                                   "glob_c"]
+
+
 class TestErrors:
     def test_config_problems_all_named(self, tmp_path, capsys):
         cfg = {
@@ -287,6 +349,32 @@ class TestErrors:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin")])
         assert rc == 5
         assert "error[io]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        lambda h: {**h, "tensors": 5},
+        "huge_header_length",
+        lambda h: {**h, "meta": {}},
+        lambda h: [1, 2],
+        lambda h: {**h, "scaler": {}},
+        lambda h: {**h, "scaler": {**h["scaler"], "mean": [0.0]}},
+    ], ids=["no_tensors", "tensors_not_list", "header_len_2_62", "empty_meta",
+            "header_not_object", "empty_scaler", "scaler_mean_too_short"])
+    def test_malformed_checkpoint_one_io_line(self, trained, tmp_path, capsys, corrupt):
+        raw = trained["checkpoint"].read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        if corrupt == "huge_header_length":
+            blob = struct.pack("<Q", 2 ** 62) + raw[8:]
+        else:
+            header = json.dumps(corrupt(json.loads(raw[8:8 + hlen]))).encode()
+            blob = struct.pack("<Q", len(header)) + header + raw[8 + hlen:]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        rc = cli.main(["predict", "--checkpoint", str(bad), "--input", str(trained["csv"]),
+                       "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert rc == 5
+        assert len(err) == 1 and err[0].startswith("error[io]:")
 
     def test_error_line_is_machine_greppable(self, tmp_path, capsys):
         cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin")])

@@ -314,7 +314,6 @@ class TestForward:
         assert yhat.shape == (4, 2, 4)
         assert trace.time_gate.shape == (4, 2, 12)
         assert trace.variate_gate.shape == (4, 5, 6)
-        assert trace.exo_gated.shape == (4, 3, 6)
         assert np.array_equal(trace.prediction, yhat.data)
 
     def test_training_dropout_changes_output_but_replays(self):
