@@ -52,9 +52,9 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _train_once(run_cfg: RunConfig, ds, echo=True):
+def _train_once(run_cfg: RunConfig, ds):
     cfg = run_cfg.model_config(ds.n_endo, ds.n_exo)
-    params, log = tr.train(cfg, run_cfg.train, ds, echo=echo)
+    params, log = tr.train(cfg, run_cfg.train, ds)
     return cfg, params, log
 
 
@@ -208,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=None, help="output directory override")
     common.add_argument("--seed", type=int, default=None,
-                        help="random seed override (config default 2025)")
+                        help=f"random seed override (config default {tr.TrainConfig.seed})")
     common.add_argument("--scaled-metrics", action=argparse.BooleanOptionalAction,
-                        default=None, help="report metrics in scaled space (default true)")
+                        default=None, help="report metrics in scaled space "
+                        f"(default {str(RunConfig.scaled_metrics).lower()})")
 
     p = argparse.ArgumentParser(prog="xlinear",
                                 description="XLinear time-series forecasting")
@@ -253,7 +254,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except XLinearError as e:
-        print(f"error[{e.code}]: {e}", file=sys.stderr)
+        # escape control characters: a line break in a key or a path must not split the line
+        msg = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(e))
+        print(f"error[{e.code}]: {msg}", file=sys.stderr)
         return e.exit_code
     except Exception:  # pragma: no cover - unexpected faults
         traceback.print_exc()

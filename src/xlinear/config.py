@@ -1,58 +1,23 @@
 """JSON run configuration: parsing, strict validation, defaults.
 
 The file has four sections (``data``, ``model``, ``train``, ``eval``)
-plus ``out_dir``. Unknown keys anywhere are rejected in one pass that
-names every offender, so a typo cannot silently fall back to a default.
-``resolved_dict`` materializes all defaults; feeding that echo back in
-reproduces the identical run.
+plus ``out_dir``. The config dataclasses are the schema: each field's
+annotation is its key's type and its default the key's default. Unknown
+keys anywhere are rejected in one pass that names every offender, so a
+typo cannot silently fall back to a default. ``resolved_dict``
+materializes all defaults; feeding that echo back in reproduces the
+identical run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
+from .data import TARGET_MODES
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
-
-# key -> (python type tag, default); None default means required
-_DATA_KEYS = {
-    "csv_path": ("str", None),
-    "target_mode": ("str", "multivariate"),
-    "split_ratios": ("ratios", (0.7, 0.1, 0.2)),
-    "limit_rows": ("int?", None),
-    "date_column": ("str", "date"),
-}
-_MODEL_KEYS = {
-    "horizon": ("int", None),
-    "lookback": ("int", 96),
-    "d_model": ("int", 256),
-    "t_ff": ("int", 512),
-    "c_ff": ("int", 512),
-    "embed_dropout": ("float", 0.1),
-    "t_dropout": ("float", 0.1),
-    "c_dropout": ("float", 0.1),
-    "head_dropout": ("float", 0.1),
-    "gate_activation": ("str", "sigmoid"),
-    "ablation": ("str", "full"),
-    "revin_affine": ("bool", True),
-    "share_embedding": ("bool", False),
-}
-_TRAIN_KEYS = {
-    "lr_init": ("float", 1e-4),
-    "batch_size": ("int", 32),
-    "max_epochs": ("int", 30),
-    "patience": ("int", 3),
-    "seed": ("int", 2025),
-    "beta1": ("float", 0.9),
-    "beta2": ("float", 0.999),
-    "eps": ("float", 1e-8),
-}
-_EVAL_KEYS = {
-    "scaled_metrics": ("bool", True),
-}
-_SECTIONS = {"data": _DATA_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS, "eval": _EVAL_KEYS}
 
 
 @dataclass
@@ -62,6 +27,14 @@ class DataConfig:
     split_ratios: tuple = (0.7, 0.1, 0.2)
     limit_rows: int | None = None
     date_column: str = "date"
+
+    def validate(self):
+        if self.target_mode not in TARGET_MODES:
+            raise ConfigError(
+                f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
+        if self.limit_rows is not None and self.limit_rows < 1:
+            raise ConfigError(f"limit_rows must be >= 1 or null, got {self.limit_rows}")
+        return self
 
 
 @dataclass
@@ -92,29 +65,26 @@ class RunConfig:
             values = {}
             for key, (kind, default) in schema.items():
                 if key in given:
-                    ok, val = _coerce(kind, given[key])
+                    ok, values[key] = _coerce(kind, given[key])
                     if not ok:
                         problems.append(f"{sec}.{key} must be {_KIND_NAMES[kind]}, "
                                         f"got {given[key]!r}")
-                        val = default
-                    values[key] = val
-                elif default is None and kind not in ("int?",):
+                elif default is MISSING:
                     problems.append(f"missing required key {sec}.{key}")
                 else:
                     values[key] = default
             sections[sec] = values
-        out_dir = raw.get("out_dir", "runs")
+        out_dir = raw.get("out_dir", RunConfig.out_dir)
         if not isinstance(out_dir, str):
             problems.append(f"out_dir must be a string, got {out_dir!r}")
-            out_dir = "runs"
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
         return RunConfig(
-            data=DataConfig(**sections["data"]),
+            data=DataConfig(**sections["data"]).validate(),
             model=sections["model"],
             train=TrainConfig(**sections["train"]).validate(),
-            scaled_metrics=sections["eval"]["scaled_metrics"],
             out_dir=out_dir,
+            **sections["eval"],
         )
 
     def resolved_dict(self) -> dict:
@@ -130,33 +100,45 @@ class RunConfig:
         return ModelConfig(n_endo=n_endo, n_exo=n_exo, **self.model).validate()
 
 
-_KIND_NAMES = {
-    "str": "a string",
-    "int": "an integer",
-    "int?": "an integer or null",
-    "float": "a number",
-    "bool": "a boolean",
-    "ratios": "a list of three numbers",
+def _schema(fields_) -> dict:
+    """key -> (annotation string, default); the default is MISSING for a required key."""
+    return {f.name: (f.type, f.default) for f in fields_}
+
+
+_SECTIONS = {
+    "data": _schema(fields(DataConfig)),
+    "model": _schema(f for f in fields(ModelConfig) if f.name not in ("n_endo", "n_exo")),
+    "train": _schema(fields(TrainConfig)),
+    "eval": _schema(f for f in fields(RunConfig) if f.name == "scaled_metrics"),
 }
+
+# type tag -> the words an error uses for it, and the JSON types it accepts
+_KIND_NAMES = {"str": "a string", "int": "an integer", "int | None": "an integer or null",
+               "float": "a number", "bool": "a boolean", "tuple": "a list of three numbers"}
+_TYPES = {"str": str, "bool": bool, "int": int, "int | None": (int, type(None))}
+
+
+def _to_float(v):
+    """``float(v)`` for a JSON number; None for a bool, a non-number or an int too big."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return None
 
 
 def _coerce(kind: str, v):
-    if kind == "str":
-        return isinstance(v, str), v
-    if kind == "bool":
-        return isinstance(v, bool), v
-    if kind == "int":
-        return isinstance(v, int) and not isinstance(v, bool), v
-    if kind == "int?":
-        return v is None or (isinstance(v, int) and not isinstance(v, bool)), v
+    """(whether ``v`` fits the type tag ``kind``, the value to store)."""
+    if kind in _TYPES:  # a bool is an int to Python but not to the config
+        return isinstance(v, _TYPES[kind]) and (kind == "bool" or not isinstance(v, bool)), v
     if kind == "float":
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        return ok, float(v) if ok else v
-    if kind == "ratios":
-        ok = (isinstance(v, (list, tuple)) and len(v) == 3
-              and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
-        return ok, tuple(float(x) for x in v) if ok else v
-    raise AssertionError(kind)
+        f = _to_float(v)
+        return f is not None, v if f is None else f
+    if kind != "tuple":
+        raise AssertionError(kind)
+    ok = isinstance(v, (list, tuple)) and len(v) == 3 and None not in map(_to_float, v)
+    return ok, tuple(map(_to_float, v)) if ok else v
 
 
 def load_run_config(path) -> RunConfig:

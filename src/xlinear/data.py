@@ -193,7 +193,7 @@ def split_bounds(n: int, ratios) -> tuple:
     The cumulative ratios are rounded, so (0.6, 0.2, 0.2) on 14400 rows
     gives exactly 8640/11520/14400.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # NaN fails r > 0
         raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")

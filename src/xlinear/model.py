@@ -258,9 +258,8 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     t = tc.swap_last2(tok)
     h = tc.relu(t @ params.vgm_w1 + params.vgm_b1)
     h = tc.dropout(h, cfg.c_dropout, training, rng)
-    gate_t = tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation)
-    gated = tc.swap_last2(gate_t * t)
-    gate = tc.swap_last2(gate_t)
+    gate = tc.swap_last2(tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation))
+    gated = gate * tok
     e_gated, x_glob2 = tc.split(gated, (cfg.n_exo, cfg.n_endo), axis=1)
     return x_glob2, e_gated, gate
 

@@ -27,14 +27,23 @@ class TrainConfig:
     eps: float = 1e-8
 
     def validate(self):
-        if self.lr_init <= 0:
-            raise ConfigError(f"lr_init must be > 0, got {self.lr_init}")
+        for name in ("lr_init", "eps"):
+            v = getattr(self, name)
+            if not v > 0:  # NaN fails too
+                raise ConfigError(f"{name} must be > 0, got {v}")
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         return self
 
 
@@ -149,7 +158,7 @@ def _val_mse(params: mdl.XLinearParams, ds: dio.TimeSeriesDataset, L: int, S: in
 
 
 def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeriesDataset,
-          log_path=None, echo: bool = True):
+          echo: bool = True):
     """Run the full optimization and return (params at best epoch, TrainLog).
 
     All randomness (parameter init, batch shuffling, dropout masks)
@@ -209,6 +218,4 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best
     params.load_state_arrays(best_arrays)
-    if log_path is not None:
-        log.to_csv(log_path)
     return params, log

@@ -1,5 +1,6 @@
 """Checkpoint save/load round trips and corruption handling."""
 
+import errno
 import struct
 
 import numpy as np
@@ -70,6 +71,27 @@ class TestRoundTrip:
         assert "revin_gamma" not in names
         rebuilt = ck.params_from_checkpoint(loaded, cfg)
         assert rebuilt.embed_exo_w is rebuilt.embed_endo_w
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        path = tmp_path / "ck.bin"
+        ck.save_checkpoint(path, make_params(cfg, seed=11), RUN_CFG, SCALER, META)
+        before = path.read_bytes()
+        real_pack = struct.pack
+        calls = []
+
+        def pack_then_fail(*args):
+            calls.append(args)
+            if len(calls) > 1:  # the header is written, the first tensor is not
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pack(*args)
+
+        monkeypatch.setattr(ck.struct, "pack", pack_then_fail)
+        with pytest.raises(IOFault, match="No space left"):
+            ck.save_checkpoint(path, make_params(cfg, seed=12), RUN_CFG, SCALER, META)
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]
 
 
 class TestValidation:

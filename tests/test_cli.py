@@ -376,6 +376,42 @@ class TestErrors:
         assert rc == 5
         assert len(err) == 1 and err[0].startswith("error[io]:")
 
+    @pytest.mark.parametrize("where, patch, key", [
+        ("config", {"train": {"seed": -5}}, "seed"),
+        ("flag", ["--seed", "-3"], "seed"),
+        ("config", {"train": {"lr_init": float("nan")}}, "lr_init"),
+        ("config", {"train": {"lr_init": float("inf")}}, "lr_init"),
+        ("config", {"train": {"lr_init": 10 ** 400}}, "lr_init"),
+        ("config", {"train": {"beta1": 1.0}}, "beta1"),
+        ("config", {"train": {"beta2": 1.5}}, "beta2"),
+        ("config", {"train": {"eps": -1.0}}, "eps"),
+        ("config", {"data": {"limit_rows": 0}}, "limit_rows"),
+        ("config", {"data": {"split_ratios": [float("nan"), 0.5, 0.5]}}, "split ratios"),
+        ("checkpoint", {"target_mode": "bogus"}, "target_mode"),
+        ("config", {"data": {"bad\nkey": 1}}, "data.bad\\nkey"),
+    ], ids=["seed_negative", "seed_flag_negative", "lr_nan", "lr_infinity", "lr_int_too_big",
+            "beta1_one", "beta2_above_one", "eps_negative", "limit_rows_zero",
+            "split_ratio_nan", "checkpoint_target_mode", "key_with_line_break"])
+    def test_config_fault_one_config_line(self, trained, tmp_path, capsys, where, patch, key):
+        if where == "checkpoint":  # the checkpoint's stored config is checked on load too
+            raw = trained["checkpoint"].read_bytes()
+            (hlen,) = struct.unpack("<Q", raw[:8])
+            header = json.loads(raw[8:8 + hlen])
+            header["config"]["data"].update(patch)
+            blob = json.dumps(header).encode()
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen:])
+            argv = ["predict", "--checkpoint", str(bad), "--input", str(trained["csv"]),
+                    "--out-dir", str(tmp_path)]
+        elif where == "flag":
+            argv = ["train", "--config", str(make_config(tmp_path, trained["csv"])), *patch]
+        else:
+            argv = ["train", "--config", str(make_config(tmp_path, trained["csv"], **patch))]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err.strip().split("\n")
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error[config]:") and key in err[0], err
+
     def test_error_line_is_machine_greppable(self, tmp_path, capsys):
         cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin")])
         err = capsys.readouterr().err.strip().split("\n")[-1]

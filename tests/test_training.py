@@ -253,8 +253,8 @@ class TestTrainLoop:
 
     def test_csv_round_trip(self, synth_ds, tmp_path):
         tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=256, max_epochs=2, patience=2)
-        _, log = tr.train(synth_model_cfg(), tcfg, synth_ds,
-                          log_path=tmp_path / "log.csv", echo=False)
+        _, log = tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
+        log.to_csv(tmp_path / "log.csv")
         lines = (tmp_path / "log.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,lr,train_loss,val_loss,seconds"
         assert len(lines) == 1 + len(log.records)
