@@ -10,7 +10,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import output_file
 from .errors import DimensionError, IOFault
 from .model import ModelConfig, XLinearParams
 
@@ -39,7 +39,7 @@ def _canonical_json(obj) -> bytes:
 
 
 def save_checkpoint(path, params: XLinearParams, run_config: dict, scaler: dict, meta: dict):
-    """Write the checkpoint to ``<path>.tmp`` and rename it onto ``path``, so a
+    """Write the checkpoint through :func:`~xlinear.data.output_file`, so a
     failed save leaves any earlier checkpoint at ``path`` untouched."""
     named = params.named()
     header = {
@@ -50,21 +50,13 @@ def save_checkpoint(path, params: XLinearParams, run_config: dict, scaler: dict,
         "meta": meta,
     }
     blob = _canonical_json(header)
-    tmp = f"{path}.tmp"  # same directory, so the rename cannot cross filesystems
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for _, t in named:
-                raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                fh.write(struct.pack("<Q", len(raw)))
-                fh.write(raw)
-        os.replace(tmp, path)
-    except OSError as e:
-        raise IOFault(f"cannot write checkpoint {path}: {e.strerror}") from e
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)  # left only when the write failed
+    with output_file(path, binary=True) as fh:
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for _, t in named:
+            raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+            fh.write(struct.pack("<Q", len(raw)))
+            fh.write(raw)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

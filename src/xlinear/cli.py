@@ -38,18 +38,12 @@ def _load_dataset(run_cfg: RunConfig):
 def _apply_overrides(run_cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         run_cfg = dataclasses.replace(
-            run_cfg, train=dataclasses.replace(run_cfg.train, seed=args.seed))
+            run_cfg, train=dataclasses.replace(run_cfg.train, seed=args.seed).validate())
     if getattr(args, "out_dir", None) is not None:
         run_cfg = dataclasses.replace(run_cfg, out_dir=args.out_dir)
     if getattr(args, "scaled_metrics", None) is not None:
         run_cfg = dataclasses.replace(run_cfg, scaled_metrics=args.scaled_metrics)
     return run_cfg
-
-
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _train_once(run_cfg: RunConfig, ds):
@@ -74,38 +68,38 @@ def cmd_train(args) -> int:
     run_cfg = _apply_overrides(load_run_config(args.config), args)
     ds = _load_dataset(run_cfg)
     cfg, params, log = _train_once(run_cfg, ds)
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(run_cfg.out_dir, CHECKPOINT_NAME)
     ckpt_io.save_checkpoint(ckpt_path, params, run_cfg.resolved_dict(),
                             dio.scaler_dict(ds), _meta_dict(cfg, params, log))
     log.to_csv(os.path.join(run_cfg.out_dir, TRAINLOG_NAME))
-    _write_json(os.path.join(run_cfg.out_dir, RESOLVED_NAME), run_cfg.resolved_dict())
+    with dio.output_file(os.path.join(run_cfg.out_dir, RESOLVED_NAME)) as fh:
+        fh.write(json.dumps(run_cfg.resolved_dict(), indent=2, sort_keys=True) + "\n")
     print(f"checkpoint: {ckpt_path}")
     print(f"best epoch {log.best_epoch}, val_loss {log.best_val_loss:.6f}, "
           f"{'stopped early' if log.stopped_early else 'ran to max_epochs'}")
     return 0
 
 
-def _restore(checkpoint_path):
-    """Load a checkpoint and rebuild (run_cfg, model_cfg, params)."""
-    ckpt = ckpt_io.load_checkpoint(checkpoint_path)
-    run_cfg = RunConfig.from_dict(ckpt.config)
+def _restore(args):
+    """Load ``args.checkpoint`` and rebuild (ckpt, run_cfg, model_cfg, params); ``run_cfg``
+    carries the overrides, and outputs go to ``--out-dir``, else the checkpoint's directory."""
+    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
+    run_cfg = dataclasses.replace(RunConfig.from_dict(ckpt.config),
+                                  out_dir=os.path.dirname(os.path.abspath(args.checkpoint)))
+    run_cfg = _apply_overrides(run_cfg, args)
     cfg = run_cfg.model_config(ckpt.meta["n_endo"], ckpt.meta["n_exo"])
     params = ckpt_io.params_from_checkpoint(ckpt, cfg)
     return ckpt, run_cfg, cfg, params
 
 
 def cmd_eval(args) -> int:
-    ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
-    run_cfg = _apply_overrides(run_cfg, args)
+    ckpt, run_cfg, cfg, params = _restore(args)
     d = run_cfg.data
     ds = dio.load_csv_with_scaler(args.data or d.csv_path, ckpt.scaler, d.target_mode,
                                   d.split_ratios, d.limit_rows, d.date_column)
     report = mx.evaluate(mdl.predictor(params, cfg), ds, args.split,
                          cfg.lookback, cfg.horizon, scaled=run_cfg.scaled_metrics)
-    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"metrics_{args.split}.csv")
+    csv_path = os.path.join(run_cfg.out_dir, f"metrics_{args.split}.csv")
     report.to_csv(csv_path)
     sys.stdout.write(report.as_table_text())
     print(f"written: {csv_path}")
@@ -113,7 +107,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
+    ckpt, run_cfg, cfg, params = _restore(args)
     horizon = args.horizon if args.horizon is not None else cfg.horizon
     if not 1 <= horizon <= cfg.horizon:
         raise UsageError(f"--horizon must be in [1, {cfg.horizon}] for this "
@@ -123,14 +117,11 @@ def cmd_predict(args) -> int:
                                   date_column=d.date_column)
     yhat, _ = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
     fc = dio.inverse_scale_forecast(ds, yhat.data)[0, :, :horizon]
-    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "forecast.csv")
-    lines = ["step," + ",".join(ds.endo_names)]
-    for s in range(horizon):
-        lines.append(f"{s + 1}," + ",".join(repr(float(v)) for v in fc[:, s]))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    out_path = os.path.join(run_cfg.out_dir, "forecast.csv")
+    with dio.output_file(out_path) as fh:
+        fh.write("step," + ",".join(ds.endo_names) + "\n")
+        for s in range(horizon):
+            fh.write(f"{s + 1}," + ",".join(repr(float(v)) for v in fc[:, s]) + "\n")
     print(f"written: {out_path} ({horizon} steps x {ds.n_endo} variables)")
     return 0
 
@@ -166,7 +157,6 @@ def cmd_ablate(args) -> int:
     run_cfg = _apply_overrides(load_run_config(args.config), args)
     variants = _parse_variants(args.variants.split(","), run_cfg.model["gate_activation"])
     ds = _load_dataset(run_cfg)
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
     rows = []
     for abl, act in variants:
         variant_cfg = dataclasses.replace(
@@ -181,66 +171,74 @@ def cmd_ablate(args) -> int:
         print(f"{label}: test mse {agg['mse']:.6f} mae {agg['mae']:.6f}")
     out_path = os.path.join(run_cfg.out_dir, "ablation.csv")
     cell = mx.MetricsReport._cell
-    lines = ["variant,ablation,gate_activation,mse,mae,nse,kge,mape"]
-    for label, abl, act, agg in rows:
-        lines.append(f"{label},{abl},{act},"
-                     + ",".join(cell(agg[m]) for m in mx.METRIC_NAMES))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with dio.output_file(out_path) as fh:
+        fh.write("variant,ablation,gate_activation,mse,mae,nse,kge,mape\n")
+        for label, abl, act, agg in rows:
+            fh.write(f"{label},{abl},{act},"
+                     + ",".join(cell(agg[m]) for m in mx.METRIC_NAMES) + "\n")
     print(f"written: {out_path}")
     return 0
 
 
 def cmd_export_weights(args) -> int:
-    ckpt, run_cfg, cfg, params = _restore(args.checkpoint)
+    ckpt, run_cfg, cfg, params = _restore(args)
     d = run_cfg.data
     ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
                                   date_column=d.date_column)
     _, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
-    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.checkpoint))
-    t_path, v_path = mdl.export_gating_weights(trace, out_dir, ds.endo_names, ds.exo_names)
+    t_path, v_path = mdl.export_gating_weights(trace, run_cfg.out_dir, ds.endo_names,
+                                               ds.exo_names)
     print(f"written: {t_path}")
     print(f"written: {v_path}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, so it keeps the one-line contract."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=None, help="output directory override")
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"random seed override (config default {tr.TrainConfig.seed})")
-    common.add_argument("--scaled-metrics", action=argparse.BooleanOptionalAction,
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=None, help="output directory override")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None,
+                      help=f"random seed override (config default {tr.TrainConfig.seed})")
+    scaled = argparse.ArgumentParser(add_help=False)
+    scaled.add_argument("--scaled-metrics", action=argparse.BooleanOptionalAction,
                         default=None, help="report metrics in scaled space "
                         f"(default {str(RunConfig.scaled_metrics).lower()})")
 
-    p = argparse.ArgumentParser(prog="xlinear",
-                                description="XLinear time-series forecasting")
+    p = _Parser(prog="xlinear", description="XLinear time-series forecasting")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("train", parents=[common], help="train a model from a JSON config")
+    q = sub.add_parser("train", parents=[out_dir, seed, scaled],
+                       help="train a model from a JSON config")
     q.add_argument("--config", required=True)
     q.set_defaults(fn=cmd_train)
 
-    q = sub.add_parser("eval", parents=[common], help="score a checkpoint on a split")
+    q = sub.add_parser("eval", parents=[out_dir, scaled], help="score a checkpoint on a split")
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--split", choices=("train", "val", "test"), default="test")
     q.add_argument("--data", default=None, help="dataset CSV override")
     q.set_defaults(fn=cmd_eval)
 
-    q = sub.add_parser("predict", parents=[common], help="forecast from trailing history")
+    q = sub.add_parser("predict", parents=[out_dir], help="forecast from trailing history")
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--input", required=True, help="CSV with at least L trailing rows")
     q.add_argument("--horizon", type=int, default=None)
     q.set_defaults(fn=cmd_predict)
 
-    q = sub.add_parser("ablate", parents=[common],
+    q = sub.add_parser("ablate", parents=[out_dir, seed, scaled],
                        help="train and compare model variants under one seed")
     q.add_argument("--config", required=True)
     q.add_argument("--variants", required=True,
                    help="comma list: ablation, activation, or ablation:activation")
     q.set_defaults(fn=cmd_ablate)
 
-    q = sub.add_parser("export-weights", parents=[common],
+    q = sub.add_parser("export-weights", parents=[out_dir],
                        help="export gating weights for one forward pass")
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--input", required=True)
@@ -249,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except XLinearError as e:
         # escape control characters: a line break in a key or a path must not split the line

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .data import TARGET_MODES
+from .data import TARGET_MODES, check_split_ratios
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -34,6 +34,7 @@ class DataConfig:
                 f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
         if self.limit_rows is not None and self.limit_rows < 1:
             raise ConfigError(f"limit_rows must be >= 1 or null, got {self.limit_rows}")
+        check_split_ratios(self.split_ratios)
         return self
 
 
@@ -79,13 +80,15 @@ class RunConfig:
             problems.append(f"out_dir must be a string, got {out_dir!r}")
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
-        return RunConfig(
+        run_cfg = RunConfig(
             data=DataConfig(**sections["data"]).validate(),
             model=sections["model"],
             train=TrainConfig(**sections["train"]).validate(),
             out_dir=out_dir,
             **sections["eval"],
         )
+        run_cfg.model_config(n_endo=1, n_exo=0)  # the model ranges that hold for any M and C
+        return run_cfg
 
     def resolved_dict(self) -> dict:
         return {

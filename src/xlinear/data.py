@@ -1,4 +1,4 @@
-"""CSV ingestion, train/val/test splitting, scaling, and window batching.
+"""CSV ingestion, train/val/test splitting, scaling, window batching, output files.
 
 Training fits the scaler (:func:`load_csv`, :func:`split_and_scale`);
 eval, predict and export-weights reapply the one a checkpoint stored
@@ -7,8 +7,10 @@ eval, predict and export-weights reapply the one a checkpoint stored
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,16 +189,21 @@ def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = N
     )
 
 
+def check_split_ratios(ratios):
+    """Raise ConfigError unless ``ratios`` are three positive numbers summing to 1."""
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # NaN fails r > 0
+        raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
+
+
 def split_bounds(n: int, ratios) -> tuple:
     """Row bounds ((0, a), (a, b), (b, n)) of train/val/test.
 
     The cumulative ratios are rounded, so (0.6, 0.2, 0.2) on 14400 rows
     gives exactly 8640/11520/14400.
     """
-    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # NaN fails r > 0
-        raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
+    check_split_ratios(ratios)
     train_end = round(n * ratios[0])
     val_end = round(n * (ratios[0] + ratios[1]))
     return ((0, train_end), (train_end, val_end), (val_end, n))
@@ -354,3 +361,20 @@ def inverse_scale_forecast(ds: TimeSeriesDataset, yhat: np.ndarray) -> np.ndarra
     mean = ds.scaler_mean[idx].reshape(1, -1, 1)
     return yhat * std + mean
 
+
+@contextlib.contextmanager
+def output_file(path, binary: bool = False):
+    """The one way outputs reach disk: make the parent directory, yield a handle on
+    ``<path>.tmp`` and rename it onto ``path``. On failure the temp file is removed,
+    ``path`` keeps its earlier bytes and an OSError becomes an IOFault naming it."""
+    tmp = f"{path}.tmp"  # same directory, so the rename cannot cross filesystems
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as e:
+        raise IOFault(f"cannot write {path}: {e.strerror}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # left only when the write failed

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .data import WindowBatch
+from .data import WindowBatch, output_file
 from .errors import ConfigError, DimensionError, NumericFault
 from .tensor import Tensor
 
@@ -167,12 +167,10 @@ class RevinStats:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate quantities of one forward pass, for export and tests."""
+    """The gate activations of one forward pass, for export and tests."""
 
-    revin_stats: RevinStats
     time_gate: np.ndarray  # [batch x M x 2*d_model]
     variate_gate: np.ndarray  # [batch x (C+M) x d_model]
-    prediction: np.ndarray  # [batch x M x S]
 
 
 def revin_normalize(x: Tensor, affine=None):
@@ -329,13 +327,7 @@ def forward(batch, params: XLinearParams, training: bool = False,
     yhat = revin_denormalize(yhat_n, stats, affine)
     _check_finite(yhat.data, "denormalize")
 
-    trace = ForwardTrace(
-        revin_stats=stats,
-        time_gate=time_gate.data,
-        variate_gate=variate_gate.data,
-        prediction=yhat.data,
-    )
-    return yhat, trace
+    return yhat, ForwardTrace(time_gate=time_gate.data, variate_gate=variate_gate.data)
 
 
 def predictor(params: XLinearParams, cfg: ModelConfig):
@@ -346,15 +338,6 @@ def predictor(params: XLinearParams, cfg: ModelConfig):
         return yhat.data
 
     return predict
-
-
-def _write_gate_csv(path, labels, matrix: np.ndarray):
-    k = matrix.shape[1]
-    lines = ["label," + ",".join(f"pos_{i}" for i in range(k))]
-    for label, row in zip(labels, matrix):
-        lines.append(label + "," + ",".join(f"{v:.6g}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def export_gating_weights(trace: ForwardTrace, out_dir,
@@ -376,9 +359,12 @@ def export_gating_weights(trace: ForwardTrace, out_dir,
         raise DimensionError(
             f"label counts ({len(endo_names)} endo, {len(exo_names)} exo) do not "
             f"match gate shapes (M={m}, C={c})")
-    os.makedirs(out_dir, exist_ok=True)
     time_path = os.path.join(out_dir, "time_gate.csv")
     var_path = os.path.join(out_dir, "variate_gate.csv")
-    _write_gate_csv(time_path, endo_names, tg)
-    _write_gate_csv(var_path, exo_names + [f"glob_{n}" for n in endo_names], vg)
+    for path, labels, gate in ((time_path, endo_names, tg),
+                               (var_path, exo_names + [f"glob_{n}" for n in endo_names], vg)):
+        with output_file(path) as fh:
+            fh.write("label," + ",".join(f"pos_{i}" for i in range(gate.shape[1])) + "\n")
+            for label, row in zip(labels, gate):
+                fh.write(label + "," + ",".join(f"{v:.6g}" for v in row) + "\n")
     return time_path, var_path

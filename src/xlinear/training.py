@@ -140,7 +140,7 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with dio.output_file(path) as fh:
             fh.write(self.as_csv_text())
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: train/eval/predict/ablate/export-weights, the
 JSON config layer, exit codes, and the error-line contract."""
 
+import errno
 import json
 import os
 import re
@@ -410,6 +411,83 @@ class TestErrors:
         rc = cli.main(argv)
         err = capsys.readouterr().err.strip().split("\n")
         assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error[config]:") and key in err[0], err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "ablate",
+                                         "export-weights"])
+    def test_unwritable_out_dir_one_io_line(self, trained, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        out_dir = blocker / "sub"
+        cfg = str(make_config(tmp_path, trained["csv"], train={"max_epochs": 1}))
+        ckpt, csv = str(trained["checkpoint"]), str(trained["csv"])
+        args = {"train": ["--config", cfg],
+                "ablate": ["--config", cfg, "--variants", "full"],
+                "eval": ["--checkpoint", ckpt],
+                "predict": ["--checkpoint", ckpt, "--input", csv],
+                "export-weights": ["--checkpoint", ckpt, "--input", csv]}[command]
+        rc = cli.main([command, *args, "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error[")]
+        assert rc == 5
+        assert len(errors) == 1 and errors[0] == err.splitlines()[-1], err  # after epoch lines
+        assert errors[0].startswith(f"error[io]: cannot write {out_dir}{os.sep}")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+    def test_failed_forecast_write_keeps_earlier_file(self, trained, tmp_path, capsys,
+                                                      monkeypatch):
+        args = ["predict", "--checkpoint", str(trained["checkpoint"]),
+                "--input", str(trained["csv"]), "--out-dir", str(tmp_path)]
+        assert cli.main(args + ["--horizon", "2"]) == 0
+        before = (tmp_path / "forecast.csv").read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        capsys.readouterr()
+        assert cli.main(args) == 5
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error[io]:") and "No space left" in err[0]
+        assert (tmp_path / "forecast.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forecast.csv"]
+
+    @pytest.mark.parametrize("argv, needle", [
+        ([], "command"),
+        (["predict"], "--checkpoint, --input"),
+        (["train", "--config", "c.json", "--bogus"], "--bogus"),
+        (["predict", "--checkpoint", "c.bin", "--input", "x.csv", "--seed", "3"], "--seed"),
+        (["export-weights", "--checkpoint", "c.bin", "--input", "x.csv",
+          "--scaled-metrics"], "--scaled-metrics"),
+        (["eval", "--checkpoint", "c.bin", "--seed", "3"], "--seed"),
+        (["eval", "--checkpoint", "c.bin", "--split", "dev"], "dev"),
+        (["train", "--config", "c.json", "--seed", "three"], "three"),
+    ], ids=["no_command", "predict_no_args", "unknown_flag", "predict_seed",
+            "export_scaled_metrics", "eval_seed", "bad_choice", "seed_not_int"])
+    def test_usage_error_one_usage_line(self, capsys, argv, needle):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error[usage]: xlinear") and needle in err[0]
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--help"])
+        assert exc.value.code == 0
+        assert "--checkpoint" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("patch, flags, key", [
+        ({"model": {"horizon": 0}}, [], "horizon"),
+        ({"model": {"gate_activation": "relu"}}, [], "gate_activation"),
+        ({"data": {"split_ratios": [0.6, 0.2, 0.1]}}, [], "sum to 1"),
+        ({}, ["--seed", "-3"], "seed"),
+    ], ids=["horizon_zero", "unknown_activation", "ratios_sum", "seed_flag_negative"])
+    def test_config_fault_named_before_csv_is_read(self, tmp_path, capsys, patch, flags, key):
+        cfg_path = make_config(tmp_path, tmp_path / "absent.csv", **patch)
+        assert cli.main(["train", "--config", str(cfg_path), *flags]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error[config]:") and key in err[0], err
 
     def test_error_line_is_machine_greppable(self, tmp_path, capsys):

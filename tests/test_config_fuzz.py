@@ -1,5 +1,7 @@
 """Property test of the config layer: one random fault in an otherwise valid
-config makes ``xlinear train`` exit 2 or 3 with exactly one error line.
+config makes ``xlinear train`` print exactly one error line and exit 2 for a
+wrong key, type or range, before the (absent) CSV is read, or 3 for the
+absent CSV when the fault only drops a key that has a default.
 
 The key table below is written out independently of ``xlinear.config``,
 so the property checks the schema the config dataclasses derive rather
@@ -48,7 +50,7 @@ ACCEPTS = {
 
 NAN = st.just(math.nan)
 NEG = st.floats(max_value=-1e-300)
-# (section, key) -> out-of-range values; data and train ranges are checked at load
+# (section, key) -> out-of-range values; every one is checked at load
 OUT_OF_RANGE = {
     ("data", "target_mode"): st.sampled_from(["bogus", "", "Multivariate"]),
     ("data", "limit_rows"): st.integers(max_value=0),
@@ -98,8 +100,7 @@ def mutated(draw):
         return cfg, {2}
     (sec, key), values = draw(st.sampled_from(sorted(OUT_OF_RANGE.items())))
     cfg[sec][key] = draw(values)
-    # model ranges and split-ratio sums are checked once the CSV has loaded
-    return cfg, {2, 3} if sec == "model" or key == "split_ratios" else {2}
+    return cfg, {2}
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000, database=None)

@@ -1,12 +1,13 @@
 """Data ingestion, splitting, scaling, and window iteration tests."""
 
+import errno
 import os
 
 import numpy as np
 import pytest
 
 from xlinear import data as dio
-from xlinear.errors import ConfigError, DataError, UsageError
+from xlinear.errors import ConfigError, DataError, IOFault, UsageError
 
 ETT_DIR = os.environ.get("XLINEAR_DATA_DIR", "/root/data")
 ETTH1 = os.path.join(ETT_DIR, "ETTh1.csv")
@@ -229,3 +230,31 @@ class TestIterBatches:
     def test_bad_split_name(self):
         with pytest.raises(UsageError):
             list(dio.iter_batches(self.make(10), "holdout", 4, 2, 4))
+
+
+class TestOutputFile:
+    def test_writes_through_temp_and_makes_parents(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.csv"
+        with dio.output_file(path) as fh:
+            fh.write("x\n1\n")
+            assert fh.name == f"{path}.tmp" and not path.exists()
+        assert path.read_bytes() == b"x\n1\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        with pytest.raises(IOFault, match=f"cannot write {path}: No space left"):
+            with dio.output_file(path, binary=True) as fh:
+                fh.write(b"half a")
+                raise OSError(errno.ENOSPC, "No space left on device")
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_other_errors_pass_through_and_clean_up(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            with dio.output_file(path) as fh:
+                fh.write("partial")
+                raise ValueError("not an I/O problem")
+        assert list(tmp_path.iterdir()) == []

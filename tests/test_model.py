@@ -314,7 +314,6 @@ class TestForward:
         assert yhat.shape == (4, 2, 4)
         assert trace.time_gate.shape == (4, 2, 12)
         assert trace.variate_gate.shape == (4, 5, 6)
-        assert np.array_equal(trace.prediction, yhat.data)
 
     def test_training_dropout_changes_output_but_replays(self):
         cfg = tiny_cfg(embed_dropout=0.3, t_dropout=0.2, c_dropout=0.2, head_dropout=0.2)
