@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -67,8 +68,9 @@ def _meta_dict(cfg, params, log) -> dict:
 def cmd_train(args) -> int:
     run_cfg = _apply_overrides(load_run_config(args.config), args)
     ds = _load_dataset(run_cfg)
-    cfg, params, log = _train_once(run_cfg, ds)
     ckpt_path = os.path.join(run_cfg.out_dir, CHECKPOINT_NAME)
+    dio.make_parent_dir(ckpt_path)
+    cfg, params, log = _train_once(run_cfg, ds)
     ckpt_io.save_checkpoint(ckpt_path, params, run_cfg.resolved_dict(),
                             dio.scaler_dict(ds), _meta_dict(cfg, params, log))
     log.to_csv(os.path.join(run_cfg.out_dir, TRAINLOG_NAME))
@@ -157,6 +159,8 @@ def cmd_ablate(args) -> int:
     run_cfg = _apply_overrides(load_run_config(args.config), args)
     variants = _parse_variants(args.variants.split(","), run_cfg.model["gate_activation"])
     ds = _load_dataset(run_cfg)
+    out_path = os.path.join(run_cfg.out_dir, "ablation.csv")
+    dio.make_parent_dir(out_path)
     rows = []
     for abl, act in variants:
         variant_cfg = dataclasses.replace(
@@ -169,7 +173,6 @@ def cmd_ablate(args) -> int:
         agg = report.aggregate
         rows.append((label, abl, act, agg))
         print(f"{label}: test mse {agg['mse']:.6f} mae {agg['mae']:.6f}")
-    out_path = os.path.join(run_cfg.out_dir, "ablation.csv")
     cell = mx.MetricsReport._cell
     with dio.output_file(out_path) as fh:
         fh.write("variant,ablation,gate_activation,mse,mae,nse,kge,mape\n")
@@ -200,6 +203,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     out_dir = argparse.ArgumentParser(add_help=False)
     out_dir.add_argument("--out-dir", default=None, help="output directory override")

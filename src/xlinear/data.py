@@ -362,19 +362,31 @@ def inverse_scale_forecast(ds: TimeSeriesDataset, yhat: np.ndarray) -> np.ndarra
     return yhat * std + mean
 
 
+def _cannot_write(path, e: OSError) -> IOFault:
+    return IOFault(f"cannot write {path}: {e.strerror}")
+
+
+def make_parent_dir(path):
+    """Make the directory output ``path`` goes in, or raise an IOFault naming ``path``."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    except OSError as e:
+        raise _cannot_write(path, e) from e
+
+
 @contextlib.contextmanager
 def output_file(path, binary: bool = False):
     """The one way outputs reach disk: make the parent directory, yield a handle on
     ``<path>.tmp`` and rename it onto ``path``. On failure the temp file is removed,
     ``path`` keeps its earlier bytes and an OSError becomes an IOFault naming it."""
+    make_parent_dir(path)
     tmp = f"{path}.tmp"  # same directory, so the rename cannot cross filesystems
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as e:
-        raise IOFault(f"cannot write {path}: {e.strerror}") from e
+        raise _cannot_write(path, e) from e
     finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)  # left only when the write failed

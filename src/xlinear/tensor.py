@@ -140,11 +140,10 @@ def _push(out: Tensor, pull) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add ``g`` to ``t.grad``. The first gradient is kept as is and a later one makes a
+    new sum, so no gradient array is written in place and a pull may pass down a view."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -222,21 +221,21 @@ def sqrt(a: Tensor) -> Tensor:
     return _push(out, pull)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading dims broadcast, dA = g Bᵀ, dB = Aᵀ g."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise DimensionError(f"matmul batch dims not broadcastable: {a.shape} @ {b.shape}") from e
-    out = _out(data, a, b)
+def matmul(a: Tensor, w: Tensor) -> Tensor:
+    """``a (..., k) @ w (k, n)`` as one GEMM over the rows of ``a``: dA = g wᵀ, dW = aᵀ g."""
+    if a.ndim < 2 or w.ndim != 2:
+        raise DimensionError(f"matmul needs (..., k) @ (k, n), got {a.shape} @ {w.shape}")
+    k, n = w.shape
+    if a.shape[-1] != k:
+        raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {w.shape}")
+    a2 = a.data.reshape(-1, k)
+    out = _out((a2 @ w.data).reshape(a.shape[:-1] + (n,)), a, w)
 
     def pull(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            _accum(a, (g2 @ w.data.T).reshape(a.data.shape))
+        _accum(w, a2.T @ g2)
 
     return _push(out, pull)
 
@@ -471,10 +470,7 @@ def backward(loss: Tensor, tape: Tape):
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    if loss.grad is None:
-        loss.grad = np.ones_like(loss.data)
-    else:
-        loss.grad += 1.0
+    _accum(loss, np.ones_like(loss.data))
     for out, pull in reversed(tape.nodes):
         g = out.grad
         if g is None:

@@ -25,7 +25,7 @@ from xlinear import tensor as tc
 from xlinear import training as tr
 from xlinear.tensor import Tensor
 
-from synth import write_synthetic_csv
+from synthetic_series import write_synthetic_csv
 from test_metrics import kge_oracle, mape_oracle, mse_mae_oracle, nse_oracle
 
 ETT_DIR = os.environ.get("XLINEAR_DATA_DIR", "/root/data")

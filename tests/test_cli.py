@@ -20,7 +20,7 @@ from xlinear import model as mdl
 from xlinear.config import RunConfig, load_run_config
 from xlinear.errors import ConfigError
 
-from synth import lagged_sine_series, write_synthetic_csv
+from synthetic_series import lagged_sine_series, write_synthetic_csv
 
 
 def make_config(tmp_dir, csv_path, **over):
@@ -202,6 +202,21 @@ class TestPredict:
         rc = cli.main(ok[:-1] + ["9"])
         assert rc == 2
         assert "error[usage]:" in capsys.readouterr().err
+
+    def test_back_to_back_calls_share_no_state(self, trained, tmp_path, capsys):
+        """The parser is built once per process; a call's flags must not reach the next."""
+        ckpt = tmp_path / "ckpt" / cli.CHECKPOINT_NAME
+        ckpt.parent.mkdir()
+        ckpt.write_bytes(trained["checkpoint"].read_bytes())
+        base = ["predict", "--checkpoint", str(ckpt), "--input", str(trained["csv"])]
+        assert cli.main(base + ["--horizon", "2", "--out-dir", str(tmp_path / "A")]) == 0
+        assert len((tmp_path / "A" / "forecast.csv").read_text().splitlines()) == 1 + 2
+        assert cli.main(base) == 0
+        assert len((ckpt.parent / "forecast.csv").read_text().splitlines()) == 1 + 4
+        capsys.readouterr()
+        assert cli.main(base + ["--seed", "3"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error[usage]: xlinear") and "--seed" in err[0]
 
     def test_too_few_rows(self, trained, tmp_path, capsys):
         short = tmp_path / "short.csv"
@@ -434,6 +449,19 @@ class TestErrors:
         assert errors[0].startswith(f"error[io]: cannot write {out_dir}{os.sep}")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_unwritable_out_dir_fails_before_training(self, trained, tmp_path, capsys, command):
+        out_dir = tmp_path / "blocker" / "sub"
+        out_dir.parent.write_text("a regular file, not a directory\n")
+        cfg = str(make_config(tmp_path, trained["csv"], train={"max_epochs": 1}))
+        extra = ["--variants", "full,softmax"] if command == "ablate" else []
+        assert cli.main([command, "--config", cfg, *extra, "--out-dir", str(out_dir)]) == 5
+        captured = capsys.readouterr()
+        first = {"train": cli.CHECKPOINT_NAME, "ablate": "ablation.csv"}[command]
+        err = captured.err.splitlines()  # no epoch or "training variant" line before it
+        assert len(err) == 1 and err[0].startswith(f"error[io]: cannot write {out_dir / first}:")
+        assert captured.out == ""
 
     def test_failed_forecast_write_keeps_earlier_file(self, trained, tmp_path, capsys,
                                                       monkeypatch):

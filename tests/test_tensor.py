@@ -8,6 +8,8 @@ the library's own grad_check.
 import numpy as np
 import pytest
 
+from xlinear import data as dio
+from xlinear import model as mdl
 from xlinear import tensor as tc
 from xlinear.errors import ConfigError, DimensionError, UsageError
 from xlinear.tensor import Tape, Tensor, backward, grad_check, record
@@ -86,6 +88,69 @@ class TestMatmul:
             ad = ad_grad(f, t)
             fd = fd_grad(lambda: f().item(), t.data)
             assert max_rel_err(ad, fd) < 1e-5
+
+    @pytest.mark.parametrize("a_shape", [(4, 2, 3), (2, 3, 2, 3)], ids=["3d", "4d"])
+    @pytest.mark.parametrize("a_grad", [True, False], ids=["a_grad", "a_const"])
+    def test_leading_dims_fold_into_one_gemm(self, a_shape, a_grad):
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=a_grad)
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+
+        def f():
+            y = a @ w
+            return tc.tsum(y * y)
+
+        for t in (a, w) if a_grad else (w,):
+            ad = ad_grad(f, t)
+            fd = fd_grad(lambda: f().item(), t.data)
+            assert max_rel_err(ad, fd) < 1e-5
+        if not a_grad:
+            assert a.grad is None
+
+    def test_output_equals_numpy_matmul(self):
+        rng = np.random.default_rng(9)
+        a, w = rng.normal(size=(5, 3, 7, 6)), rng.normal(size=(6, 4))
+        np.testing.assert_allclose((Tensor(a) @ Tensor(w)).data, np.matmul(a, w),
+                                   rtol=0, atol=1e-12)
+
+    def test_shared_weight_accumulates_both_uses(self):
+        """One W on two inputs (the share_embedding pattern) gets the sum of both pulls."""
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        e = Tensor(rng.normal(size=(2, 5, 4)))
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+
+        def f(*inputs):
+            return tc.tsum(tc.concat([tc.sigmoid(t @ w) for t in inputs], axis=1))
+
+        both = ad_grad(lambda: f(x, e), w)
+        assert max_rel_err(both, fd_grad(lambda: f(x, e).item(), w.data)) < 1e-5
+        np.testing.assert_allclose(both, ad_grad(lambda: f(x), w) + ad_grad(lambda: f(e), w),
+                                   rtol=1e-12)
+
+    def test_right_operand_must_be_2d(self):
+        with pytest.raises(DimensionError):
+            Tensor(np.ones((2, 2, 3))) @ Tensor(np.ones((2, 3, 4)))
+
+    def test_grads_owned_and_writable_after_training_step(self):
+        """Leaf grads are fresh arrays, never views of a shared or read-only buffer,
+        so Adam and zero_grad may write them in place."""
+        cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4, t_ff=5,
+                              c_ff=5, share_embedding=True).validate()
+        params = mdl.XLinearParams(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        batch = dio.WindowBatch(endo_history=rng.normal(size=(3, 2, 6)),
+                                exo_history=rng.normal(size=(3, 2, 6)))
+        tape = Tape()
+        with record(tape):
+            yhat, _ = mdl.forward(batch, params, training=True, rng=rng)
+            loss = tc.tmean(yhat * yhat)
+        backward(loss, tape)
+        for name, p in params.named():
+            assert p.grad.flags.writeable and p.grad.flags.owndata, name
+            assert np.any(p.grad != 0.0), name
+            p.zero_grad()
+            assert not np.any(p.grad), name
 
 
 class TestActivations:

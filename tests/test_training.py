@@ -12,7 +12,7 @@ from xlinear import training as tr
 from xlinear.errors import ConfigError, DimensionError, NumericFault
 from xlinear.tensor import Tensor
 
-from synth import write_synthetic_csv
+from synthetic_series import write_synthetic_csv
 
 
 def mse_oracle(yhat, y):
