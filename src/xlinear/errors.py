@@ -27,8 +27,8 @@ class UsageError(XLinearError):
 
 
 class DataError(XLinearError):
-    """Unusable input data: missing file, ragged or non-numeric rows,
-    constant columns, too-short series."""
+    """Unusable input data: a missing or non-UTF-8 file, ragged or
+    non-numeric rows, constant columns, too-short series."""
 
     exit_code = 3
     code = "data"

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: train/eval/predict/ablate/export-weights, the
 JSON config layer, exit codes, and the error-line contract."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlinear import checkpoint as ck
 from xlinear import cli
@@ -63,6 +67,39 @@ def trained(tmp_path_factory):
     out_dir = root / "run"
     return {"root": root, "csv": csv_path, "config": cfg_path, "out": out_dir,
             "checkpoint": out_dir / cli.CHECKPOINT_NAME}
+
+
+def csv_argv(command, trained, tmp_path, csv_path):
+    """``train`` on ``csv_path`` with a one-epoch config, or ``predict`` on it
+    with the shared checkpoint; both write under ``tmp_path``."""
+    if command == "train":
+        return ["train", "--config", str(make_config(tmp_path, csv_path, train={"max_epochs": 1}))]
+    return ["predict", "--checkpoint", str(trained["checkpoint"]), "--input", str(csv_path),
+            "--out-dir", str(tmp_path / "out")]
+
+
+def edit_line(i, fn):
+    return lambda raw: b"\n".join(fn(ln) if k == i else ln for k, ln in enumerate(raw.split(b"\n")))
+
+
+# fault -> (edit of the training CSV's bytes, exit code of train, exit code of predict)
+MALFORMED_CSV = {
+    "ragged_row": (edit_line(9, lambda ln: ln + b",1.5"), 3, 3),
+    "non_numeric_cell": (edit_line(9, lambda ln: b"1.5,abc"), 3, 3),
+    "nan_cell": (edit_line(9, lambda ln: b"nan,1.5"), 3, 3),
+    "inf_cell": (edit_line(9, lambda ln: b"1.5,-inf"), 3, 3),
+    "empty_file": (lambda raw: b"", 3, 3),
+    "header_only": (lambda raw: raw.split(b"\n")[0] + b"\n", 3, 3),
+    "duplicate_header": (edit_line(0, lambda ln: b"x,x"), 0, 3),
+    "bom": (lambda raw: b"\xef\xbb\xbf" + raw, 0, 0),
+    "non_utf8_byte": (edit_line(9, lambda ln: ln + b"\xff"), 3, 3),
+    "nul_byte": (edit_line(9, lambda ln: ln[:3] + b"\x00" + ln[3:]), 3, 3),
+    "quoted_cells": (lambda raw: re.sub(rb"[^,\n]+", rb'"\g<0>"', raw), 0, 0),
+    "crlf_line_ends": (lambda raw: raw.replace(b"\n", b"\r\n"), 0, 0),
+    "bare_cr_line_ends": (lambda raw: raw.replace(b"\n", b"\r"), 0, 0),
+}
+# error code -> exit code, as the README documents them
+EXIT_CODES = {"config": 2, "usage": 2, "data": 3, "dimension": 3, "numeric": 4, "io": 5}
 
 
 class TestTrain:
@@ -517,6 +554,57 @@ class TestErrors:
         assert cli.main(["train", "--config", str(cfg_path), *flags]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error[config]:") and key in err[0], err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_non_utf8_csv_one_data_line(self, trained, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(edit_line(4, lambda ln: ln + b"\xff")(trained["csv"].read_bytes()))
+        assert cli.main(csv_argv(command, trained, tmp_path, bad)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error[data]: {bad}, line 5: not UTF-8 text (invalid start byte)"]
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_CSV))
+    def test_malformed_csv_one_line_or_success(self, trained, tmp_path, capsys, command, fault):
+        edit, train_rc, predict_rc = MALFORMED_CSV[fault]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(edit(trained["csv"].read_bytes()))
+        rc = cli.main(csv_argv(command, trained, tmp_path, bad))
+        err = capsys.readouterr().err
+        assert rc == {"train": train_rc, "predict": predict_rc}[command], err
+        assert "Traceback" not in err
+        if rc:
+            lines = err.splitlines()
+            assert len(lines) == 1 and re.fullmatch(r"error\[(data|dimension)\]: .+", lines[0])
+        elif command == "predict":  # the same forecast as from the file before the edit
+            plain = tmp_path / "plain"
+            assert cli.main(csv_argv("predict", trained, plain, trained["csv"])) == 0
+            assert (tmp_path / "out" / "forecast.csv").read_bytes() == \
+                   (plain / "out" / "forecast.csv").read_bytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(edits=st.lists(st.tuples(
+        st.floats(0, 1), st.integers(0, 3),
+        st.sampled_from([b"", b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xef\xbb\xbf",
+                         b"nan", b"-inf", b"#", b" ", b"x", b"_", b"\xd9\xa1", b"e9"])),
+        min_size=1, max_size=3))
+    def test_mutated_csv_keeps_the_error_contract(self, trained, tmp_path_factory, edits):
+        raw = trained["csv"].read_bytes()
+        for where, cut, token in edits:  # replace `cut` bytes at `where` by `token`
+            at = int(where * len(raw))
+            raw = raw[:at] + token + raw[at + cut:]
+        root = tmp_path_factory.getbasetemp()
+        (root / "mutated.csv").write_bytes(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(csv_argv("predict", trained, root, root / "mutated.csv"))
+        lines = err.getvalue().splitlines()
+        if rc:
+            assert len(lines) == 1, lines
+            match = re.fullmatch(r"error\[([a-z]+)\]: .+", lines[0])
+            assert match and rc == EXIT_CODES[match.group(1)], lines
+        else:
+            assert lines == []
 
     def test_error_line_is_machine_greppable(self, tmp_path, capsys):
         cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin")])

@@ -2,9 +2,12 @@
 
 import errno
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xlinear import data as dio
 from xlinear.errors import ConfigError, DataError, IOFault, UsageError
@@ -86,6 +89,41 @@ class TestLoadCsv:
     def test_limit_rows(self, toy_csv):
         ds = dio.load_csv(toy_csv, limit_rows=25)
         assert ds.n_rows == 25
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_rows_below_one_rejected(self, toy_csv, limit):
+        with pytest.raises(ConfigError, match="limit_rows must be at least 1"):
+            dio.read_csv_values(toy_csv, limit_rows=limit)
+
+    def test_bom_is_not_part_of_the_first_name(self, toy_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes())
+        names, values, stamps = dio.read_csv_values(toy_csv)
+        b_names, b_values, b_stamps = dio.read_csv_values(bom)
+        assert (b_names, b_stamps) == (names, stamps) and names == ("a", "b", "c")
+        assert b_values.tobytes() == values.tobytes()
+
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}, line 3: not UTF-8 text"):
+            dio.read_csv_values(p)
+
+    def test_plain_file_skips_the_scan_quoted_file_takes_it(self, toy_csv, tmp_path, monkeypatch):
+        expected = dio.read_csv_values(toy_csv, limit_rows=25)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + "\n"
+                                  for line in toy_csv.read_text().splitlines()))
+        assert dio._parse_plain(quoted.read_text(), 25, "date") is None
+        got = dio.read_csv_values(quoted, limit_rows=25)
+        assert got[0] == expected[0] and got[2] == expected[2]
+        assert got[1].tobytes() == expected[1].tobytes()
+
+        def no_scan(*args):
+            raise AssertionError("a plain numeric file went through the csv scan")
+
+        monkeypatch.setattr(dio, "_scan_values", no_scan)
+        assert dio.read_csv_values(toy_csv, limit_rows=25)[1].shape == (25, 3)
 
     @pytest.mark.skipif(not os.path.exists(ETTH1), reason="ETT data not present")
     def test_etth1_shape(self):
@@ -258,3 +296,83 @@ class TestOutputFile:
                 fh.write("partial")
                 raise ValueError("not an I/O problem")
         assert list(tmp_path.iterdir()) == []
+
+
+# Cells of every form the two CSV paths must agree on: plain numbers in repr,
+# %.6f and exponent form, and text only the csv scan accepts or that both reject.
+NUMBER = st.floats(-1e12, 1e12, allow_nan=False)
+PLAIN_CELL = st.one_of(NUMBER.map(repr), NUMBER.map("{:.6f}".format), NUMBER.map("{:e}".format),
+                       st.integers(-10**6, 10**6).map(str))
+NON_FINITE_CELL = st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "-1e400"])
+ODD_CELL = st.sampled_from([
+    "1_000", "١٢", "٣.5", "#", "1#", "", " ",
+    "+", "+1.5", " 2.5", "2.5 ", "\t3", ".5", "5.", "1e", "0x10", "1\x00", "1\x1c", "\x1f2",
+    "1\xa0", "\u30003", "\ufeff1", "1\x0b", "abc"])
+FAULTS = ["odd_cell", "non_finite_cell", "quoted_cell", "quoted_comma_cell", "extra_cell",
+          "missing_cell", "blank_line", "blank_first_line", "space_line", "bare_cr",
+          "bare_cr_after_header", "crlf"]
+
+
+@st.composite
+def csv_text(draw):
+    """(text, limit_rows) of a small series CSV: a plain numeric file with
+    up to two faults, each of which only one of the two paths may accept."""
+    n_cols = draw(st.integers(1, 3))
+    has_date = draw(st.booleans())
+    header = ["date"] * has_date + [f"v{j}" for j in range(n_cols)]
+    header = draw(st.sampled_from([header, [f" {h} " for h in header], header + [""],
+                                   ["date"] * has_date + [str(j) for j in range(n_cols)]]))
+    lines = [header] + [[f"2020-01-01 {i:02d}:00"] * has_date
+                        + [draw(PLAIN_CELL) for _ in range(len(header) - has_date)]
+                        for i in range(draw(st.integers(0, 6)))]
+    eols = ["\n"] * len(lines)
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # a data row if any
+        j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+        if not lines[i] and fault.endswith("cell"):
+            continue
+        if fault in ("odd_cell", "non_finite_cell"):
+            lines[i][j] = draw(ODD_CELL if fault == "odd_cell" else NON_FINITE_CELL)
+        elif fault == "quoted_cell":
+            lines[i][j] = f'"{lines[i][j]}"'
+        elif fault == "quoted_comma_cell":
+            lines[i][j] = f'"{lines[i][j]},{draw(PLAIN_CELL)}"'
+        elif fault == "extra_cell":
+            lines[i].append(draw(PLAIN_CELL))
+        elif fault == "missing_cell":
+            del lines[i][j]
+        elif fault in ("blank_line", "blank_first_line", "space_line"):
+            i = 0 if fault == "blank_first_line" else i
+            lines.insert(i, [" "] * (fault == "space_line"))
+            eols.insert(i, "\n")
+        else:  # a bare CR ends a line for the csv module only
+            eols[0 if fault == "bare_cr_after_header" else i] = "\r\n" if fault == "crlf" else "\r"
+    text = "".join(",".join(cells) + eol for cells, eol in zip(lines, eols))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, draw(st.none() | st.integers(1, 7))
+
+
+def _outcome(read):
+    """A reader's result with values as bytes, or the message of its DataError."""
+    try:
+        names, values, stamps = read()
+    except DataError as e:
+        return str(e)
+    return names, values.dtype, values.shape, values.tobytes(), stamps
+
+
+class TestTwoCsvPaths:
+    @settings(derandomize=True, deadline=None, max_examples=1000, database=None)
+    @given(case=csv_text(), bom=st.booleans())
+    @example(case=("v0\r1.5\n2.5\n", None), bom=False)  # bare CR: header and a row on one line
+    @example(case=('date,"v0,v1"\nd,1.5,2.5\n', None), bom=False)  # quoted comma in the header
+    @example(case=("\n1.5\n2.5\n", None), bom=False)  # blank line in place of a header
+    @example(case=("v0\n1.5\x1c\n", None), bom=False)  # whitespace to numpy, not to float
+    @example(case=("v0\n1.5\n\n2.5\n3.5\n", 2), bom=False)  # a blank line within limit_rows
+    def test_numpy_path_equals_csv_scan(self, tmp_path_factory, case, bom):
+        text, limit = case
+        path = tmp_path_factory.getbasetemp() / "paths.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        got = _outcome(lambda: dio.read_csv_values(path, limit))
+        assert got == _outcome(lambda: dio._scan_values(path, text, limit, "date")), text
