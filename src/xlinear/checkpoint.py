@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import output_file
 from .errors import DimensionError, IOFault
-from .model import ModelConfig, XLinearParams
+from .model import ModelConfig, XLinearParams, param_shapes
 
 FORMAT_VERSION = 1
 
@@ -126,8 +126,7 @@ def load_checkpoint(path) -> Checkpoint:
 def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
     """Rebuild parameters, insisting the stored shape table matches the
     shapes the config derives."""
-    params = XLinearParams(cfg, np.random.default_rng(0))
-    expected = {n: t.data.shape for n, t in params.named()}
+    expected = param_shapes(cfg.validate())
     stored = {n: a.shape for n, a in ckpt.tensors.items()}
     if expected.keys() != stored.keys():
         missing = sorted(expected.keys() - stored.keys())
@@ -139,5 +138,4 @@ def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
            for n in sorted(expected) if stored[n] != expected[n]]
     if bad:
         raise DimensionError("checkpoint shape table mismatch: " + "; ".join(bad))
-    params.load_state_arrays(ckpt.tensors)
-    return params
+    return XLinearParams.from_arrays(cfg, ckpt.tensors)

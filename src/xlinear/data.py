@@ -112,8 +112,11 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
     except UnicodeDecodeError as e:
         line_no = e.object.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}, line {line_no}: not UTF-8 text ({e.reason})") from None
-    return (_parse_plain(text, limit_rows, date_column)
-            or _scan_values(path, text, limit_rows, date_column))
+    try:
+        return (_parse_plain(text, limit_rows, date_column)
+                or _scan_values(path, text, limit_rows, date_column))
+    except csv.Error as e:  # e.g. a cell over the csv module's field size limit
+        raise DataError(f"{path}: unreadable CSV ({e})") from None
 
 
 def _columns(header, date_column: str):

@@ -12,6 +12,7 @@ the gated tensor elementwise.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,17 +67,38 @@ class ModelConfig:
         return self
 
 
-def parameter_count(cfg: ModelConfig) -> int:
-    """Closed-form size of the learnable parameter set."""
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Shape of every learnable tensor by name, in checkpoint and init-draw order. A shared
+    embedding has no ``embed_exo_*`` entries and RevIN without affine no ``revin_*``."""
     L, S, M, C, d = cfg.lookback, cfg.horizon, cfg.n_endo, cfg.n_exo, cfg.d_model
-    n = (L + 1) * d * (1 if cfg.share_embedding else 2)
-    n += M * d
-    n += (2 * d + 1) * cfg.t_ff + (cfg.t_ff + 1) * 2 * d
-    n += (C + M + 1) * cfg.c_ff + (cfg.c_ff + 1) * (C + M)
-    n += (2 * d + 1) * S
+    shapes = {"embed_endo_w": (L, d), "embed_endo_b": (d,)}
+    if not cfg.share_embedding:
+        shapes.update(embed_exo_w=(L, d), embed_exo_b=(d,))
+    shapes.update(global_tokens=(M, d),
+                  tgm_w1=(2 * d, cfg.t_ff), tgm_b1=(cfg.t_ff,),
+                  tgm_w2=(cfg.t_ff, 2 * d), tgm_b2=(2 * d,),
+                  vgm_w1=(C + M, cfg.c_ff), vgm_b1=(cfg.c_ff,),
+                  vgm_w2=(cfg.c_ff, C + M), vgm_b2=(C + M,),
+                  head_w=(2 * d, S), head_b=(S,))
     if cfg.revin_affine:
-        n += 2 * M
-    return n
+        shapes.update(revin_gamma=(M,), revin_beta=(M,))
+    return shapes
+
+
+def parameter_count(cfg: ModelConfig) -> int:
+    """Size of the learnable parameter set."""
+    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+
+
+def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Global tokens N(0, 0.02), linear weights U(+-1/sqrt(fan_in)), RevIN gamma 1, biases
+    and RevIN beta 0; only the first two draw from ``rng``."""
+    if name == "global_tokens":
+        return rng.normal(0.0, 0.02, size=shape)
+    if len(shape) == 2:
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape)
+    return np.ones(shape) if name == "revin_gamma" else np.zeros(shape)
 
 
 class XLinearParams:
@@ -84,55 +106,27 @@ class XLinearParams:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         cfg.validate()
+        self._wrap(cfg, {name: _init_array(name, shape, rng)
+                         for name, shape in param_shapes(cfg).items()})
+
+    @classmethod
+    def from_arrays(cls, cfg: ModelConfig, arrays: dict) -> XLinearParams:
+        """Wrap ``arrays`` (name -> array of its :func:`param_shapes` shape) without a copy."""
+        params = cls.__new__(cls)
+        params._wrap(cfg.validate(), arrays)
+        return params
+
+    def _wrap(self, cfg: ModelConfig, arrays: dict):
         self.cfg = cfg
-        L, S, M, C, d = cfg.lookback, cfg.horizon, cfg.n_endo, cfg.n_exo, cfg.d_model
-
-        def linear_w(fan_in, fan_out):
-            bound = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                          requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        self.embed_endo_w = linear_w(L, d)
-        self.embed_endo_b = zeros(d)
+        self._names = tuple(param_shapes(cfg))
+        for name in self._names:
+            setattr(self, name, Tensor(arrays[name], requires_grad=True))
         if cfg.share_embedding:
-            self.embed_exo_w = self.embed_endo_w
-            self.embed_exo_b = self.embed_endo_b
-        else:
-            self.embed_exo_w = linear_w(L, d)
-            self.embed_exo_b = zeros(d)
-        self.global_tokens = Tensor(rng.normal(0.0, 0.02, size=(M, d)), requires_grad=True)
-        self.tgm_w1 = linear_w(2 * d, cfg.t_ff)
-        self.tgm_b1 = zeros(cfg.t_ff)
-        self.tgm_w2 = linear_w(cfg.t_ff, 2 * d)
-        self.tgm_b2 = zeros(2 * d)
-        self.vgm_w1 = linear_w(C + M, cfg.c_ff)
-        self.vgm_b1 = zeros(cfg.c_ff)
-        self.vgm_w2 = linear_w(cfg.c_ff, C + M)
-        self.vgm_b2 = zeros(C + M)
-        self.head_w = linear_w(2 * d, S)
-        self.head_b = zeros(S)
-        if cfg.revin_affine:
-            self.revin_gamma = Tensor(np.ones(M), requires_grad=True)
-            self.revin_beta = Tensor(np.zeros(M), requires_grad=True)
-
-    _NAMES = ("embed_endo_w", "embed_endo_b", "embed_exo_w", "embed_exo_b",
-              "global_tokens", "tgm_w1", "tgm_b1", "tgm_w2", "tgm_b2",
-              "vgm_w1", "vgm_b1", "vgm_w2", "vgm_b2", "head_w", "head_b",
-              "revin_gamma", "revin_beta")
+            self.embed_exo_w, self.embed_exo_b = self.embed_endo_w, self.embed_endo_b
 
     def named(self):
         """(name, tensor) pairs in checkpoint order, each tensor once."""
-        out = []
-        for name in self._NAMES:
-            if self.cfg.share_embedding and name in ("embed_exo_w", "embed_exo_b"):
-                continue
-            if not self.cfg.revin_affine and name.startswith("revin_"):
-                continue
-            out.append((name, getattr(self, name)))
-        return out
+        return [(name, getattr(self, name)) for name in self._names]
 
     def all(self):
         return [t for _, t in self.named()]
@@ -235,8 +229,7 @@ def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
     """Time-wise gating: one MLP over the 2*d_model axis, shared by all
     variables, whose activated output reweights the token sequence."""
     cfg = params.cfg
-    h = tc.relu(x_endo_tok @ params.tgm_w1 + params.tgm_b1)
-    h = tc.dropout(h, cfg.t_dropout, training, rng)
+    h = tc.relu_dropout(x_endo_tok @ params.tgm_w1 + params.tgm_b1, cfg.t_dropout, training, rng)
     gate = tc.activation(h @ params.tgm_w2 + params.tgm_b2, cfg.gate_activation)
     gated = gate * x_endo_tok
     x_endo, x_glob = tc.split(gated, (cfg.d_model, cfg.d_model), axis=-1)
@@ -249,13 +242,16 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
 
     The MLP runs in the transposed [batch x d_model x (C+M)] layout so
     identical weights apply at every embedding position; softmax gates
-    normalize over the channel axis it mixes.
+    normalize over the channel axis it mixes. The first bias rides in the
+    GEMM as the weight row of a constant ones channel, so the
+    [batch x d_model x c_ff] hidden layer has no separate bias add.
     """
     cfg = params.cfg
     tok = tc.concat([e_exo, x_glob], axis=1)  # [b x (C+M) x d]
     t = tc.swap_last2(tok)
-    h = tc.relu(t @ params.vgm_w1 + params.vgm_b1)
-    h = tc.dropout(h, cfg.c_dropout, training, rng)
+    t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)  # [b x d x (C+M+1)]
+    w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
+    h = tc.relu_dropout(t1 @ w1, cfg.c_dropout, training, rng)
     gate = tc.swap_last2(tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation))
     gated = gate * tok
     e_gated, x_glob2 = tc.split(gated, (cfg.n_exo, cfg.n_endo), axis=1)

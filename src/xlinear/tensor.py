@@ -160,15 +160,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# arithmetic; a pull computes a gradient only for an operand that requires one
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data + b.data, a, b)
 
     def pull(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _push(out, pull)
 
@@ -177,8 +179,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data - b.data, a, b)
 
     def pull(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _push(out, pull)
 
@@ -187,8 +191,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data * b.data, a, b)
 
     def pull(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _push(out, pull)
 
@@ -197,8 +203,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data / b.data, a, b)
 
     def pull(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * out.data / b.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * out.data / b.data, b.data.shape))
 
     return _push(out, pull)
 
@@ -439,19 +447,46 @@ def _expand_reduced(g, shape, axes, keepdims):
 # regularization
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval."""
+def _check_rate(rate: float):
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+
+
+def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator, positive: bool) -> np.ndarray:
+    """The inverted-dropout scale ``keep / (1 - rate)``, built in the buffer of its one
+    ``rng.random(x.shape)`` draw; ``positive`` also zeroes it where ``x <= 0``."""
+    buf = rng.random(x.shape)
+    keep = buf >= rate
+    if positive:
+        keep &= x > 0.0
+    return np.divide(keep, 1.0 - rate, out=buf)
+
+
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval."""
+    _check_rate(rate)
     if not training or rate == 0.0:
         return x
-    scale = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    scale = _keep_scale(x.data, rate, rng, positive=False)
     out = _out(x.data * scale, x)
 
     def pull(g):
         _accum(x, g * scale)
 
     return _push(out, pull)
+
+
+def relu_dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+    """``dropout(relu(x))`` as one product with a constant scale, from the same draw.
+
+    The result equals the two-op form apart from the sign of a zero, and it keeps no relu
+    output, mask or product of its own; the pull is ``mul``'s, which skips the constant
+    scale. In eval or at rate 0 this is ``relu(x)``.
+    """
+    _check_rate(rate)
+    if not training or rate == 0.0:
+        return relu(x)
+    return mul(x, Tensor(_keep_scale(x.data, rate, rng, positive=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ class TestRoundTrip:
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
+    def test_restore_wraps_the_stored_arrays_and_resaves_the_same_bytes(self, tmp_path):
+        cfg = small_cfg()
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        ck.save_checkpoint(a, make_params(cfg, seed=10), RUN_CFG, SCALER, META)
+        loaded = ck.load_checkpoint(a)
+        rebuilt = ck.params_from_checkpoint(loaded, cfg)
+        assert all(t.data is loaded.tensors[name] for name, t in rebuilt.named())
+        ck.save_checkpoint(b, rebuilt, RUN_CFG, SCALER, META)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_identical_state_identical_bytes(self, tmp_path):
         cfg = small_cfg()
         a = tmp_path / "a.bin"

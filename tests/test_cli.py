@@ -582,6 +582,17 @@ class TestErrors:
             assert (tmp_path / "out" / "forecast.csv").read_bytes() == \
                    (plain / "out" / "forecast.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_cell_over_the_csv_field_limit_is_one_data_error(self, trained, tmp_path, capsys,
+                                                             command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(edit_line(9, lambda ln: b"1.5," + b"x" * 200_000)(
+            trained["csv"].read_bytes()))
+        rc = cli.main(csv_argv(command, trained, tmp_path, bad))
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith(f"error[data]: {bad}: "), lines
+
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(edits=st.lists(st.tuples(
         st.floats(0, 1), st.integers(0, 3),

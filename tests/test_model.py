@@ -104,6 +104,12 @@ class TestParams:
         assert params.n_parameters() == mdl.parameter_count(cfg)
         assert mdl.parameter_count(cfg) == mdl.parameter_count(tiny_cfg()) - (8 + 1) * 6
 
+    @pytest.mark.parametrize("over", [{}, {"share_embedding": True}, {"revin_affine": False}])
+    def test_shape_table_lists_every_tensor_in_order(self, over):
+        cfg = tiny_cfg(**over)
+        named = [(name, t.shape) for name, t in make_params(cfg).named()]
+        assert named == list(mdl.param_shapes(cfg).items())
+
     def test_shapes(self):
         cfg = tiny_cfg()
         p = make_params(cfg)
@@ -251,6 +257,44 @@ class TestVgm:
         b_glob, b_exo, _ = mdl.vgm(Tensor(e[:, :, perm]), Tensor(g[:, :, perm]), p)
         np.testing.assert_allclose(b_glob.data, a_glob.data[:, :, perm])
         np.testing.assert_allclose(b_exo.data, a_exo.data[:, :, perm])
+
+
+    @pytest.mark.parametrize("gate", ["sigmoid", "softmax"])
+    @pytest.mark.parametrize("n_endo,n_exo", [(3, 3), (1, 4)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_bias_in_gemm_matches_the_unfused_layer(self, gate, n_endo, n_exo, training):
+        """Against ``relu(t @ W1 + b1)`` then ``dropout``, with the same dropout draw."""
+        cfg = tiny_cfg(n_endo=n_endo, n_exo=n_exo, gate_activation=gate, c_dropout=0.3)
+        p = make_params(cfg, seed=21)
+        p.vgm_b1.data[...] = np.random.default_rng(5).normal(size=cfg.c_ff)
+        data = np.random.default_rng(6)
+        e = Tensor(data.normal(size=(3, n_exo, 6)), requires_grad=True)
+        g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
+        weights = data.normal(size=(3, n_exo + n_endo, 6))
+
+        def unfused(e, g, p, training, rng):
+            tok = tc.concat([e, g], axis=1)
+            h = tc.relu(tc.swap_last2(tok) @ p.vgm_w1 + p.vgm_b1)
+            h = tc.dropout(h, cfg.c_dropout, training, rng)
+            gate = tc.swap_last2(tc.activation(h @ p.vgm_w2 + p.vgm_b2, cfg.gate_activation))
+            e_gated, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
+            return x_glob2, e_gated, gate
+
+        leaves = [e, g, p.vgm_w1, p.vgm_b1, p.vgm_w2, p.vgm_b2]
+
+        def run(fn):
+            for t in leaves:
+                t.zero_grad()
+            tape = tc.Tape()
+            with tc.record(tape):
+                outs = fn(e, g, p, training, np.random.default_rng(8))
+                loss = tc.tsum(outs[2] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
+            tc.backward(loss, tape)
+            return [o.data for o in outs], [t.grad.copy() for t in leaves]
+
+        (outs, grads), (ref_outs, ref_grads) = run(mdl.vgm), run(unfused)
+        for got, want in zip(outs + grads, ref_outs + ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestHead:

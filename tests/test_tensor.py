@@ -283,6 +283,28 @@ class TestElementwiseGrads:
             fd = fd_grad(lambda: f().item(), t.data)
             assert max_rel_err(ad, fd) < 1e-5
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_constant_operand_gets_no_grad(self, op, const):
+        rng = np.random.default_rng(19)
+        a_data = rng.uniform(-2, 2, size=(3, 4))
+        b_data = rng.uniform(0.5, 2.0, size=(4,))
+        fn = getattr(tc, op)
+
+        def grads(tracked):
+            a = Tensor(a_data.copy(), requires_grad=tracked[0])
+            b = Tensor(b_data.copy(), requires_grad=tracked[1])
+            tape = Tape()
+            with record(tape):
+                loss = tc.tsum(fn(a, b) * fn(a, b))
+            backward(loss, tape)
+            return a.grad, b.grad
+
+        both = grads((True, True))
+        one = grads((const != 0, const != 1))
+        assert one[const] is None
+        assert np.array_equal(one[1 - const], both[1 - const])
+
     def test_sqrt_and_neg(self):
         rng = np.random.default_rng(21)
         x = Tensor(rng.uniform(0.5, 2.0, size=(5,)), requires_grad=True)
@@ -330,6 +352,42 @@ class TestDropout:
         backward(loss, tape)
         np.testing.assert_allclose(x.grad[kept], 1.0 / 0.7)
         np.testing.assert_allclose(x.grad[~kept], 0.0)
+
+
+class TestReluDropout:
+    def test_equals_dropout_of_relu_and_draws_the_same(self):
+        x = Tensor(np.random.default_rng(3).normal(size=(4, 5, 6)))
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        fused = tc.relu_dropout(x, 0.3, training=True, rng=rng_a).data
+        plain = tc.dropout(tc.relu(x), 0.3, training=True, rng=rng_b).data
+        assert np.array_equal(fused, plain)  # equal as numbers: -0.0 == 0.0
+        assert np.array_equal(np.abs(fused), np.abs(plain))
+        assert (fused > 0).any() and (fused == 0).any()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_eval_and_rate_zero_are_relu(self):
+        x = Tensor(np.array([-1.5, 0.0, 2.0]))
+        for training, rate in ((False, 0.5), (True, 0.0)):
+            out = tc.relu_dropout(x, rate, training=training, rng=np.random.default_rng(0))
+            assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_bad_rate(self):
+        with pytest.raises(ConfigError):
+            tc.relu_dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+
+    def test_grad_check_in_training(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.uniform(0.2, 1.0, size=(3, 8)) * rng.choice([-1.0, 1.0], size=(3, 8)),
+                   requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 8)))
+
+        def f():
+            y = tc.relu_dropout(x, 0.4, training=True, rng=np.random.default_rng(9))
+            return tc.tsum(y * y * w)
+
+        report = grad_check(f, [x], rel_tol=1e-6)
+        assert report.passed, str(report)
+        assert (x.grad == 0).any() and (x.grad != 0).any()
 
 
 class TestBackward:
