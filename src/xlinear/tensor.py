@@ -479,9 +479,10 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
 def relu_dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """``dropout(relu(x))`` as one product with a constant scale, from the same draw.
 
-    The result equals the two-op form apart from the sign of a zero, and it keeps no relu
-    output, mask or product of its own; the pull is ``mul``'s, which skips the constant
-    scale. In eval or at rate 0 this is ``relu(x)``.
+    For finite ``x`` the result equals the two-op form apart from the sign of a zero (a
+    ``-inf`` gives NaN, not 0). It keeps no relu output, mask or product of its own; the
+    pull is ``mul``'s, which skips the constant scale. In eval or at rate 0 this is
+    ``relu(x)``.
     """
     _check_rate(rate)
     if not training or rate == 0.0:
