@@ -5,7 +5,9 @@ header (format version, resolved run config, tensor shape table, scaler
 statistics, best-epoch metadata), then one length-prefixed block of raw
 little-endian float64 values per tensor, in shape-table order. JSON keys
 are sorted and floats round-trip via repr, so identical state produces
-byte-identical files.
+byte-identical files. Version 2 stores only the M global-token columns of an
+elementwise gate's ``vgm_w2``/``vgm_b2``; version 1 stored all C+M and loads
+without the C exogenous ones, which such a gate never trained.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .data import output_file
 from .errors import DimensionError, IOFault
 from .model import ModelConfig, XLinearParams, param_shapes
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -80,9 +83,10 @@ def _check_header(header, path):
 
     if not isinstance(header, dict):
         raise corrupt(f"a JSON {type(header).__name__}, not an object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise IOFault(f"unsupported checkpoint format version {header.get('format_version')!r}, "
-                      f"this build reads version {FORMAT_VERSION}")
+    version = header.get("format_version")
+    if not (_is_int(version) and version in READABLE_VERSIONS):
+        raise IOFault(f"unsupported checkpoint format version {version!r}, "
+                      f"this build reads versions {READABLE_VERSIONS}")
     if not all(isinstance(header.get(k), dict) for k in ("config", "scaler", "meta")):
         raise corrupt("config, scaler and meta must be objects")
     if not all(_is_int(header["meta"].get(k)) for k in ("n_endo", "n_exo")):
@@ -119,15 +123,21 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise IOFault(f"trailing bytes after last tensor in {path}")
-    return Checkpoint(version=FORMAT_VERSION, config=header["config"], tensors=tensors,
-                      scaler=header["scaler"], meta=header["meta"])
+    return Checkpoint(version=header["format_version"], config=header["config"],
+                      tensors=tensors, scaler=header["scaler"], meta=header["meta"])
 
 
 def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
     """Rebuild parameters, insisting the stored shape table matches the
     shapes the config derives."""
     expected = param_shapes(cfg.validate())
-    stored = {n: a.shape for n, a in ckpt.tensors.items()}
+    tensors = dict(ckpt.tensors)
+    if ckpt.version == 1:  # all C+M columns of vgm_w2/vgm_b2; keep those the config reads
+        for name in ("vgm_w2", "vgm_b2"):
+            a = tensors.get(name)
+            if a is not None and a.shape[-1:] == (cfg.n_exo + cfg.n_endo,):
+                tensors[name] = a[..., a.shape[-1] - expected["vgm_b2"][0]:]
+    stored = {n: a.shape for n, a in tensors.items()}
     if expected.keys() != stored.keys():
         missing = sorted(expected.keys() - stored.keys())
         extra = sorted(stored.keys() - expected.keys())
@@ -138,4 +148,4 @@ def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
            for n in sorted(expected) if stored[n] != expected[n]]
     if bad:
         raise DimensionError("checkpoint shape table mismatch: " + "; ".join(bad))
-    return XLinearParams.from_arrays(cfg, ckpt.tensors)
+    return XLinearParams.from_arrays(cfg, tensors)

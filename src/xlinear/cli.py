@@ -189,8 +189,7 @@ def cmd_export_weights(args) -> int:
     ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
                                   date_column=d.date_column)
     _, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
-    t_path, v_path = mdl.export_gating_weights(trace, run_cfg.out_dir, ds.endo_names,
-                                               ds.exo_names)
+    t_path, v_path = mdl.export_gating_weights(trace, run_cfg.out_dir, ds.endo_names)
     print(f"written: {t_path}")
     print(f"written: {v_path}")
     return 0

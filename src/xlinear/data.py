@@ -72,10 +72,6 @@ class TimeSeriesDataset:
     def endo_names(self) -> tuple:
         return tuple(self.variable_names[i] for i in self.endo_indices)
 
-    @property
-    def exo_names(self) -> tuple:
-        return tuple(self.variable_names[i] for i in self.exo_indices)
-
     def bounds_of(self, split: str) -> tuple:
         if self.split_bounds is None:
             raise UsageError("dataset has no splits; call split_and_scale first")
@@ -113,10 +109,15 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
         line_no = e.object.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}, line {line_no}: not UTF-8 text ({e.reason})") from None
     try:
-        return (_parse_plain(text, limit_rows, date_column)
-                or _scan_values(path, text, limit_rows, date_column))
+        parsed = (_parse_plain(text, limit_rows, date_column)
+                  or _scan_values(path, text, limit_rows, date_column))
     except csv.Error as e:  # e.g. a cell over the csv module's field size limit
         raise DataError(f"{path}: unreadable CSV ({e})") from None
+    names = parsed[0]
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise DataError(f"{path}: repeated column name {repeated[0]!r} in header")
+    return parsed
 
 
 def _columns(header, date_column: str):

@@ -69,8 +69,11 @@ class ModelConfig:
 
 def param_shapes(cfg: ModelConfig) -> dict:
     """Shape of every learnable tensor by name, in checkpoint and init-draw order. A shared
-    embedding has no ``embed_exo_*`` entries and RevIN without affine no ``revin_*``."""
+    embedding has no ``embed_exo_*`` entries and RevIN without affine no ``revin_*``. The
+    VGM's second layer has a column per gate row the forecast reads: M for an elementwise
+    gate, C+M for softmax, whose normalizer spans every channel."""
     L, S, M, C, d = cfg.lookback, cfg.horizon, cfg.n_endo, cfg.n_exo, cfg.d_model
+    gates = C + M if cfg.gate_activation == "softmax" else M
     shapes = {"embed_endo_w": (L, d), "embed_endo_b": (d,)}
     if not cfg.share_embedding:
         shapes.update(embed_exo_w=(L, d), embed_exo_b=(d,))
@@ -78,7 +81,7 @@ def param_shapes(cfg: ModelConfig) -> dict:
                   tgm_w1=(2 * d, cfg.t_ff), tgm_b1=(cfg.t_ff,),
                   tgm_w2=(cfg.t_ff, 2 * d), tgm_b2=(2 * d,),
                   vgm_w1=(C + M, cfg.c_ff), vgm_b1=(cfg.c_ff,),
-                  vgm_w2=(cfg.c_ff, C + M), vgm_b2=(C + M,),
+                  vgm_w2=(cfg.c_ff, gates), vgm_b2=(gates,),
                   head_w=(2 * d, S), head_b=(S,))
     if cfg.revin_affine:
         shapes.update(revin_gamma=(M,), revin_beta=(M,))
@@ -90,14 +93,17 @@ def parameter_count(cfg: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in param_shapes(cfg).values())
 
 
-def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+def _init_array(name: str, shape: tuple, rng: np.random.Generator, n_channels: int) -> np.ndarray:
     """Global tokens N(0, 0.02), linear weights U(+-1/sqrt(fan_in)), RevIN gamma 1, biases
-    and RevIN beta 0; only the first two draw from ``rng``."""
+    and RevIN beta 0; only the first two draw from ``rng``. ``vgm_w2`` is drawn at its full
+    ``n_channels`` = C+M width and keeps its last columns, so pruning it leaves the draws of
+    every tensor unchanged."""
     if name == "global_tokens":
         return rng.normal(0.0, 0.02, size=shape)
     if len(shape) == 2:
         bound = 1.0 / np.sqrt(shape[0])
-        return rng.uniform(-bound, bound, size=shape)
+        width = n_channels if name == "vgm_w2" else shape[1]
+        return rng.uniform(-bound, bound, size=(shape[0], width))[:, width - shape[1]:]
     return np.ones(shape) if name == "revin_gamma" else np.zeros(shape)
 
 
@@ -106,7 +112,7 @@ class XLinearParams:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         cfg.validate()
-        self._wrap(cfg, {name: _init_array(name, shape, rng)
+        self._wrap(cfg, {name: _init_array(name, shape, rng, cfg.n_exo + cfg.n_endo)
                          for name, shape in param_shapes(cfg).items()})
 
     @classmethod
@@ -134,10 +140,6 @@ class XLinearParams:
     def n_parameters(self) -> int:
         return sum(t.size for t in self.all())
 
-    def zero_grad(self):
-        for t in self.all():
-            t.zero_grad()
-
     def state_arrays(self):
         """Copies of the raw parameter arrays, keyed by name."""
         return {name: t.data.copy() for name, t in self.named()}
@@ -162,7 +164,7 @@ class ForwardTrace:
     """The gate activations of one forward pass, for export and tests."""
 
     time_gate: np.ndarray  # [batch x M x 2*d_model]
-    variate_gate: np.ndarray  # [batch x (C+M) x d_model]
+    variate_gate: np.ndarray  # [batch x M x d_model], the global-token rows
 
 
 def revin_normalize(x: Tensor, affine=None):
@@ -236,13 +238,15 @@ def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
 
 def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
         rng: np.random.Generator | None = None):
-    """Variate-wise gating over the stacked (C+M)-channel axis.
+    """Variate-wise gating: an MLP over the stacked (C+M)-channel axis gates the M global
+    tokens, the only rows the forecast reads.
 
     The MLP runs in the transposed [batch x d_model x (C+M)] layout so
-    identical weights apply at every embedding position; softmax gates
-    normalize over the channel axis it mixes. The first bias rides in the
+    identical weights apply at every embedding position. The first bias rides in the
     GEMM as the weight row of a constant ones channel, so the
-    [batch x d_model x c_ff] hidden layer has no separate bias add.
+    [batch x d_model x c_ff] hidden layer has no separate bias add. An elementwise gate
+    computes only its M global-token columns; softmax normalizes over all C+M and keeps
+    the last M.
     """
     cfg = params.cfg
     tok = tc.concat([e_exo, x_glob], axis=1)  # [b x (C+M) x d]
@@ -250,10 +254,11 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
     h = tc.relu_dropout(t1 @ w1, cfg.c_dropout, training, rng)
-    gate = tc.swap_last2(tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation))
-    gated = gate * tok
-    e_gated, x_glob2 = tc.split(gated, (cfg.n_exo, cfg.n_endo), axis=1)
-    return x_glob2, e_gated, gate
+    gate = tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation)
+    if cfg.gate_activation == "softmax":
+        gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
+    gate = tc.swap_last2(gate)  # [b x M x d]
+    return gate * x_glob, gate
 
 
 def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
@@ -307,7 +312,7 @@ def forward(batch, params: XLinearParams, training: bool = False,
     x_endo, x_glob, time_gate = tgm(tok, params, training, rng)
     _check_finite(time_gate.data, "tgm")
 
-    x_glob2, _, variate_gate = vgm(e_emb, x_glob, params, training, rng)
+    x_glob2, variate_gate = vgm(e_emb, x_glob, params, training, rng)
     _check_finite(variate_gate.data, "vgm")
 
     if cfg.ablation == "endo_only":
@@ -334,29 +339,25 @@ def predictor(params: XLinearParams, cfg: ModelConfig):
     return predict
 
 
-def export_gating_weights(trace: ForwardTrace, out_dir,
-                          endo_names=None, exo_names=None):
+def export_gating_weights(trace: ForwardTrace, out_dir, endo_names=None):
     """Write batch-averaged gate matrices as labeled CSV files.
 
     ``time_gate.csv`` has one row per endogenous channel over 2*d_model
-    positions; ``variate_gate.csv`` has C+M rows (exogenous channels
-    first, then the global tokens) over d_model positions. Returns the
-    two paths.
+    positions; ``variate_gate.csv`` has one ``glob_<name>`` row per global token over
+    d_model positions. Returns the two paths.
     """
     tg = trace.time_gate.mean(axis=0)
     vg = trace.variate_gate.mean(axis=0)
     m = tg.shape[0]
-    c = vg.shape[0] - m
     endo_names = list(endo_names) if endo_names else [f"endo_{i}" for i in range(m)]
-    exo_names = list(exo_names) if exo_names else [f"exo_{i}" for i in range(c)]
-    if len(endo_names) != m or len(exo_names) != c:
+    if len(endo_names) != m or vg.shape[0] != m:
         raise DimensionError(
-            f"label counts ({len(endo_names)} endo, {len(exo_names)} exo) do not "
-            f"match gate shapes (M={m}, C={c})")
+            f"{len(endo_names)} endo labels do not match gate shapes "
+            f"(time {tg.shape[0]}, variate {vg.shape[0]} rows)")
     time_path = os.path.join(out_dir, "time_gate.csv")
     var_path = os.path.join(out_dir, "variate_gate.csv")
     for path, labels, gate in ((time_path, endo_names, tg),
-                               (var_path, exo_names + [f"glob_{n}" for n in endo_names], vg)):
+                               (var_path, [f"glob_{n}" for n in endo_names], vg)):
         with output_file(path) as fh:
             fh.write("label," + ",".join(f"pos_{i}" for i in range(gate.shape[1])) + "\n")
             for label, row in zip(labels, gate):

@@ -5,7 +5,8 @@ is active (see :func:`record`). Operations append ``(output, pull)``
 nodes in execution order, which is already a topological order, so
 :func:`backward` simply walks the list once in reverse. Gradients
 accumulate into ``requires_grad`` leaves until :meth:`Tensor.zero_grad`;
-intermediate gradient buffers are released during the walk.
+intermediate gradient buffers are released during the walk. A leaf's
+``grad`` is ``None`` until a pull reaches it, and ``None`` reads as zero.
 
 With no active tape every op is a plain numpy computation, which is the
 eval-mode fast path.
@@ -55,7 +56,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
 
     @property
     def shape(self):
@@ -73,11 +74,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
 
     def zero_grad(self):
-        if self.requires_grad:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self.grad[...] = 0.0
+        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -547,7 +544,7 @@ def grad_check(f, params, step: float = 1e-5, rel_tol: float = 1e-5,
     with record(tape):
         loss = f()
     backward(loss, tape)
-    ad_grads = [p.grad.copy() for p in params]
+    ad_grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     floor = abs_tol / rel_tol
     max_rel, n, failures = 0.0, 0, []

@@ -79,7 +79,8 @@ class AdamState:
 
 def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: TrainConfig):
     """One bias-corrected Adam update from the accumulated grads; grads
-    are zeroed afterwards."""
+    are zeroed afterwards. A parameter no pull reached (``grad`` None) has a zero
+    gradient: its moments still decay."""
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -88,9 +89,10 @@ def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: Train
         m = state.m[name]
         v = state.v[name]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
+        if g is not None:
+            m += (1.0 - cfg.beta1) * g
+            v += (1.0 - cfg.beta2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         p.zero_grad()
 

@@ -90,7 +90,7 @@ MALFORMED_CSV = {
     "inf_cell": (edit_line(9, lambda ln: b"1.5,-inf"), 3, 3),
     "empty_file": (lambda raw: b"", 3, 3),
     "header_only": (lambda raw: raw.split(b"\n")[0] + b"\n", 3, 3),
-    "duplicate_header": (edit_line(0, lambda ln: b"x,x"), 0, 3),
+    "duplicate_header": (edit_line(0, lambda ln: b"x,x"), 3, 3),
     "bom": (lambda raw: b"\xef\xbb\xbf" + raw, 0, 0),
     "non_utf8_byte": (edit_line(9, lambda ln: ln + b"\xff"), 3, 3),
     "nul_byte": (edit_line(9, lambda ln: ln[:3] + b"\x00" + ln[3:]), 3, 3),
@@ -307,7 +307,7 @@ class TestExportWeights:
         v_lines = (tmp_path / "variate_gate.csv").read_text().strip().split("\n")
         assert t_lines[0] == "label," + ",".join(f"pos_{i}" for i in range(32))
         assert len(t_lines) == 1 + 1  # one endogenous channel
-        assert len(v_lines) == 1 + 1 + 1  # one exo channel + one global row
+        assert len(v_lines) == 1 + 1  # one global-token row per endogenous channel
         assert v_lines[-1].startswith("glob_y,")
         vals = [float(v) for v in t_lines[1].split(",")[1:]]
         assert all(0.0 < v < 1.0 for v in vals)  # sigmoid gates
@@ -363,12 +363,11 @@ class TestMultivariate:
                              24, 4, scaled=True)
         assert (tmp_path / "metrics_test.csv").read_text() == report.as_csv_text()
 
-    def test_variate_gate_labels_every_exo_channel(self, run, tmp_path, capsys):
+    def test_variate_gate_labels_every_global_token(self, run, tmp_path, capsys):
         assert cli.main(["export-weights", "--checkpoint", str(run["checkpoint"]),
                          "--input", str(run["csv"]), "--out-dir", str(tmp_path)]) == 0
         rows = (tmp_path / "variate_gate.csv").read_text().strip().split("\n")[1:]
-        assert [r.split(",")[0] for r in rows] == ["a", "b", "c", "glob_a", "glob_b",
-                                                   "glob_c"]
+        assert [r.split(",")[0] for r in rows] == ["glob_a", "glob_b", "glob_c"]
 
 
 class TestErrors:
@@ -411,8 +410,11 @@ class TestErrors:
         lambda h: [1, 2],
         lambda h: {**h, "scaler": {}},
         lambda h: {**h, "scaler": {**h["scaler"], "mean": [0.0]}},
+        lambda h: {**h, "format_version": 3},
+        lambda h: {**h, "format_version": True},
     ], ids=["no_tensors", "tensors_not_list", "header_len_2_62", "empty_meta",
-            "header_not_object", "empty_scaler", "scaler_mean_too_short"])
+            "header_not_object", "empty_scaler", "scaler_mean_too_short", "version_3",
+            "version_true"])
     def test_malformed_checkpoint_one_io_line(self, trained, tmp_path, capsys, corrupt):
         raw = trained["checkpoint"].read_bytes()
         (hlen,) = struct.unpack("<Q", raw[:8])
@@ -581,6 +583,20 @@ class TestErrors:
             assert cli.main(csv_argv("predict", trained, plain, trained["csv"])) == 0
             assert (tmp_path / "out" / "forecast.csv").read_bytes() == \
                    (plain / "out" / "forecast.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("header", ["x,x", "date,x,x", "x,y,x"])
+    def test_repeated_column_is_one_data_error_naming_it(self, trained, tmp_path, capsys,
+                                                         command, header):
+        stamp = "2020-01-01," if header.startswith("date,") else ""
+        n_values = len(header.split(",")) - bool(stamp)
+        values = np.random.default_rng(0).normal(size=(200, n_values))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + [stamp + ",".join(repr(float(v)) for v in row)
+                                             for row in values]) + "\n")
+        assert cli.main(csv_argv(command, trained, tmp_path, bad)) == 3
+        assert capsys.readouterr().err == \
+            f"error[data]: {bad}: repeated column name 'x' in header\n"
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_cell_over_the_csv_field_limit_is_one_data_error(self, trained, tmp_path, capsys,

@@ -110,6 +110,31 @@ class TestParams:
         named = [(name, t.shape) for name, t in make_params(cfg).named()]
         assert named == list(mdl.param_shapes(cfg).items())
 
+    @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
+    @pytest.mark.parametrize("n_endo,n_exo", [(2, 3), (1, 6), (7, 7)])
+    def test_vgm_output_width_and_count_per_activation(self, gate, n_endo, n_exo):
+        """The VGM's second layer has M columns for an elementwise gate, C+M for softmax."""
+        cfg = tiny_cfg(n_endo=n_endo, n_exo=n_exo, gate_activation=gate)
+        width = n_exo + n_endo if gate == "softmax" else n_endo
+        shapes = mdl.param_shapes(cfg)
+        assert shapes["vgm_w2"] == (8, width) and shapes["vgm_b2"] == (width,)
+        L, S, d, t_ff, c_ff = 8, 4, 6, 8, 8
+        count = (2 * (L * d + d) + n_endo * d + 2 * (2 * d * t_ff) + t_ff + 2 * d
+                 + (n_exo + n_endo + 1) * c_ff + (c_ff + 1) * width
+                 + 2 * d * S + S + 2 * n_endo)
+        assert mdl.parameter_count(cfg) == count == make_params(cfg).n_parameters()
+
+    @pytest.mark.parametrize("gate", ["sigmoid", "swish", "tanh"])
+    def test_pruned_init_keeps_the_global_columns_of_the_full_draw(self, gate):
+        """Every tensor draws as at full width, so the RNG stream is that of softmax."""
+        pruned = make_params(tiny_cfg(gate_activation=gate), seed=4).named()
+        full = dict(make_params(tiny_cfg(gate_activation="softmax"), seed=4).named())
+        for name, t in pruned:
+            want = full[name].data
+            if name in ("vgm_w2", "vgm_b2"):
+                want = want[..., 3:]
+            assert np.array_equal(t.data, want), name
+
     def test_shapes(self):
         cfg = tiny_cfg()
         p = make_params(cfg)
@@ -118,7 +143,8 @@ class TestParams:
         assert p.tgm_w1.shape == (12, 8)
         assert p.tgm_w2.shape == (8, 12)
         assert p.vgm_w1.shape == (5, 8)
-        assert p.vgm_w2.shape == (8, 5)
+        assert p.vgm_w2.shape == (8, 2)
+        assert p.vgm_b2.shape == (2,)
         assert p.head_w.shape == (12, 4)
         assert p.revin_gamma.shape == (2,)
         assert all(t.requires_grad for t in p.all())
@@ -231,18 +257,16 @@ class TestVgm:
         rng = np.random.default_rng(6)
         e = rng.normal(size=(3, 3, 6))
         g = rng.normal(size=(3, 2, 6))
-        x_glob2, e_gated, gate = mdl.vgm(Tensor(e), Tensor(g), p)
+        x_glob2, gate = mdl.vgm(Tensor(e), Tensor(g), p)
         np.testing.assert_allclose(x_glob2.data, 0.5 * g)
-        np.testing.assert_allclose(e_gated.data, 0.5 * e)
-        assert gate.shape == (3, 5, 6)
+        assert gate.shape == (3, 2, 6)
 
     def test_no_exogenous_degenerates_to_token_gating(self):
         cfg = tiny_cfg(n_exo=0)
         p = make_params(cfg, seed=10)
         g = np.random.default_rng(7).normal(size=(2, 2, 6))
-        x_glob2, e_gated, gate = mdl.vgm(Tensor(np.zeros((2, 0, 6))), Tensor(g), p)
+        x_glob2, gate = mdl.vgm(Tensor(np.zeros((2, 0, 6))), Tensor(g), p)
         assert x_glob2.shape == (2, 2, 6)
-        assert e_gated.shape == (2, 0, 6)
         assert gate.shape == (2, 2, 6)
 
     def test_position_permutation_equivariance(self):
@@ -253,46 +277,60 @@ class TestVgm:
         e = rng.normal(size=(2, 3, 6))
         g = rng.normal(size=(2, 2, 6))
         perm = np.array([5, 3, 0, 1, 4, 2])
-        a_glob, a_exo, _ = mdl.vgm(Tensor(e), Tensor(g), p)
-        b_glob, b_exo, _ = mdl.vgm(Tensor(e[:, :, perm]), Tensor(g[:, :, perm]), p)
+        a_glob, a_gate = mdl.vgm(Tensor(e), Tensor(g), p)
+        b_glob, b_gate = mdl.vgm(Tensor(e[:, :, perm]), Tensor(g[:, :, perm]), p)
         np.testing.assert_allclose(b_glob.data, a_glob.data[:, :, perm])
-        np.testing.assert_allclose(b_exo.data, a_exo.data[:, :, perm])
+        np.testing.assert_allclose(b_gate.data, a_gate.data[:, :, perm])
 
 
-    @pytest.mark.parametrize("gate", ["sigmoid", "softmax"])
+    @pytest.mark.parametrize("gate", ["sigmoid", "softmax", "swish", "tanh"])
     @pytest.mark.parametrize("n_endo,n_exo", [(3, 3), (1, 4)])
     @pytest.mark.parametrize("training", [False, True])
     def test_bias_in_gemm_matches_the_unfused_layer(self, gate, n_endo, n_exo, training):
-        """Against ``relu(t @ W1 + b1)`` then ``dropout``, with the same dropout draw."""
-        cfg = tiny_cfg(n_endo=n_endo, n_exo=n_exo, gate_activation=gate, c_dropout=0.3)
+        """Against the unpruned layer: ``relu(t @ W1 + b1)``, ``dropout`` with the same draw,
+        and a gate for all C+M channels from the full ``(c_ff, C+M)`` draw of ``vgm_w2``,
+        which a softmax config keeps whole. An elementwise gate's exogenous columns get no
+        gradient there."""
+        over = dict(n_endo=n_endo, n_exo=n_exo, c_dropout=0.3)
+        cfg = tiny_cfg(gate_activation=gate, **over)
         p = make_params(cfg, seed=21)
-        p.vgm_b1.data[...] = np.random.default_rng(5).normal(size=cfg.c_ff)
+        full = make_params(tiny_cfg(gate_activation="softmax", **over), seed=21)
+        c = n_exo if gate != "softmax" else 0
+        data = np.random.default_rng(5)
+        p.vgm_b1.data[...] = data.normal(size=cfg.c_ff)
+        full.vgm_b2.data[...] = data.normal(size=n_exo + n_endo)
+        p.vgm_b2.data[...] = full.vgm_b2.data[c:]
+        assert np.array_equal(p.vgm_w2.data, full.vgm_w2.data[:, c:])
         data = np.random.default_rng(6)
         e = Tensor(data.normal(size=(3, n_exo, 6)), requires_grad=True)
         g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
-        weights = data.normal(size=(3, n_exo + n_endo, 6))
+        weights = data.normal(size=(3, n_endo, 6))
 
-        def unfused(e, g, p, training, rng):
+        def unpruned(e, g, p, training, rng):
             tok = tc.concat([e, g], axis=1)
             h = tc.relu(tc.swap_last2(tok) @ p.vgm_w1 + p.vgm_b1)
             h = tc.dropout(h, cfg.c_dropout, training, rng)
-            gate = tc.swap_last2(tc.activation(h @ p.vgm_w2 + p.vgm_b2, cfg.gate_activation))
-            e_gated, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
-            return x_glob2, e_gated, gate
+            gate = tc.swap_last2(tc.activation(h @ full.vgm_w2 + full.vgm_b2,
+                                               cfg.gate_activation))
+            _, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
+            return x_glob2, tc.split(gate, (n_exo, n_endo), axis=1)[1]
 
-        leaves = [e, g, p.vgm_w1, p.vgm_b1, p.vgm_w2, p.vgm_b2]
+        leaves = [e, g, p.vgm_w1, p.vgm_b1]
 
-        def run(fn):
-            for t in leaves:
+        def run(fn, w2, b2):
+            for t in leaves + [w2, b2]:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
                 outs = fn(e, g, p, training, np.random.default_rng(8))
-                loss = tc.tsum(outs[2] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
+                loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
             tc.backward(loss, tape)
-            return [o.data for o in outs], [t.grad.copy() for t in leaves]
+            return [o.data for o in outs], [t.grad.copy() for t in leaves + [w2, b2]]
 
-        (outs, grads), (ref_outs, ref_grads) = run(mdl.vgm), run(unfused)
+        outs, grads = run(mdl.vgm, p.vgm_w2, p.vgm_b2)
+        ref_outs, ref_grads = run(unpruned, full.vgm_w2, full.vgm_b2)
+        assert not np.any(ref_grads[-2][:, :c]) and not np.any(ref_grads[-1][:c])
+        ref_grads[-2:] = [ref_grads[-2][:, c:], ref_grads[-1][c:]]
         for got, want in zip(outs + grads, ref_outs + ref_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -357,7 +395,7 @@ class TestForward:
         yhat, trace = mdl.forward(b, p, training=False)
         assert yhat.shape == (4, 2, 4)
         assert trace.time_gate.shape == (4, 2, 12)
-        assert trace.variate_gate.shape == (4, 5, 6)
+        assert trace.variate_gate.shape == (4, 2, 6)
 
     def test_training_dropout_changes_output_but_replays(self):
         cfg = tiny_cfg(embed_dropout=0.3, t_dropout=0.2, c_dropout=0.2, head_dropout=0.2)
@@ -450,8 +488,13 @@ class TestForward:
         _, trace = mdl.forward(make_batch(cfg), p, training=False)
         # TGM mixes the last (2*d_model) axis
         np.testing.assert_allclose(trace.time_gate.sum(axis=-1), 1.0, atol=1e-9)
-        # VGM mixes the channel axis
-        np.testing.assert_allclose(trace.variate_gate.sum(axis=1), 1.0, atol=1e-9)
+        # VGM mixes all C+M channels; the trace keeps the M global-token rows, which hold
+        # what the exogenous rows leave of each position's unit mass
+        glob_mass = trace.variate_gate.sum(axis=1)
+        assert np.all(glob_mass > 0.0) and np.all(glob_mass < 1.0)
+        cfg0 = tiny_cfg(gate_activation="softmax", n_exo=0)
+        _, trace0 = mdl.forward(make_batch(cfg0), make_params(cfg0, seed=23), training=False)
+        np.testing.assert_allclose(trace0.variate_gate.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestExport:
@@ -470,12 +513,17 @@ class TestExport:
         cfg = tiny_cfg()
         p = make_params(cfg, seed=24)
         _, trace = mdl.forward(make_batch(cfg), p, training=False)
-        _, v_path = mdl.export_gating_weights(
-            trace, tmp_path, endo_names=["y1", "y2"], exo_names=["u1", "u2", "u3"])
+        _, v_path = mdl.export_gating_weights(trace, tmp_path, endo_names=["y1", "y2"])
         lines = open(v_path).read().strip().split("\n")
-        assert len(lines) == 1 + cfg.n_exo + cfg.n_endo
+        assert len(lines) == 1 + cfg.n_endo
         assert lines[0] == "label," + ",".join(f"pos_{i}" for i in range(cfg.d_model))
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["u1", "u2", "u3", "glob_y1", "glob_y2"]
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["glob_y1", "glob_y2"]
+
+    def test_label_count_mismatch_rejected(self, tmp_path):
+        cfg = tiny_cfg()
+        _, trace = mdl.forward(make_batch(cfg), make_params(cfg, seed=24), training=False)
+        with pytest.raises(DimensionError, match="3 endo labels"):
+            mdl.export_gating_weights(trace, tmp_path, endo_names=["y1", "y2", "y3"])
 
     def test_re_export_is_byte_identical(self, tmp_path):
         cfg = tiny_cfg()

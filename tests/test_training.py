@@ -1,5 +1,6 @@
 """Tests for the loss, Adam, LR schedule, early stopping, and train loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,7 +130,25 @@ class TestAdamStep:
         # bias-corrected m-hat = v-hat = 1 at t=1, so the step is lr/(1+eps)
         assert p.theta.data[0] == pytest.approx(1.0 - 0.01 / (1.0 + cfg.eps), rel=1e-12)
         assert state.t == 1
-        assert np.array_equal(p.theta.grad, np.zeros(1))  # grads cleared
+        assert p.theta.grad is None  # grads cleared
+
+    def test_missing_gradient_reads_as_zero(self):
+        """A leaf no pull reached keeps ``grad`` None; its moments decay as with zeros."""
+        cfg = tr.TrainConfig()
+        runs = []
+        for grad in (None, np.zeros(1)):
+            p = ScalarParams(0.75)
+            state = tr.AdamState.__new__(tr.AdamState)
+            state.m = {"theta": np.array([0.3])}
+            state.v = {"theta": np.array([0.02])}
+            state.t = 4
+            p.theta.grad = grad
+            tr.adam_step(p, state, 0.01, cfg)
+            runs.append((p.theta.data.copy(), state.m["theta"].copy(), state.v["theta"].copy()))
+            assert p.theta.grad is None
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+        assert runs[0][1][0] == 0.3 * cfg.beta1 and runs[0][0][0] != 0.75
 
     def test_hundred_steps_on_quadratic(self):
         p = ScalarParams(1.0)
@@ -212,6 +231,32 @@ class TestTrainLoop:
         for (na, ta), (nb, tb) in zip(pa.named(), pb.named()):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
+
+    def test_endo_only_run_matches_zero_filled_grads(self, synth_ds, monkeypatch):
+        """No pull reaches the VGM or the exogenous embedding in an ``endo_only`` run, so
+        their grads stay None; the run is bit-identical to one whose Adam sees zeros."""
+        mcfg = dataclasses.replace(synth_model_cfg(), ablation="endo_only", c_dropout=0.2,
+                                   t_dropout=0.1, embed_dropout=0.1, head_dropout=0.1)
+        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=2, patience=2)
+        pa, la = tr.train(mcfg, tcfg, synth_ds, echo=False)
+
+        real_step, untouched = tr.adam_step, set()
+
+        def zero_filled_step(params, state, lr, cfg):
+            for name, p in params.named():
+                if p.grad is None:
+                    untouched.add(name)
+                    p.grad = np.zeros_like(p.data)
+            real_step(params, state, lr, cfg)
+
+        monkeypatch.setattr(tr, "adam_step", zero_filled_step)
+        pb, lb = tr.train(mcfg, tcfg, synth_ds, echo=False)
+        assert untouched == {"embed_exo_w", "embed_exo_b", "vgm_w1", "vgm_b1", "vgm_w2",
+                             "vgm_b2"}
+        assert [(r.train_loss, r.val_loss) for r in la.records] == \
+               [(r.train_loss, r.val_loss) for r in lb.records]
+        for (na, ta), (nb, tb) in zip(pa.named(), pb.named()):
+            assert na == nb and np.array_equal(ta.data, tb.data), na
 
     def test_full_batch_losses_strictly_decrease(self, synth_ds):
         tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=4096, max_epochs=5, patience=5)
