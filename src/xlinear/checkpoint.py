@@ -62,13 +62,15 @@ def save_checkpoint(path, params: XLinearParams, run_config: dict, scaler: dict,
             fh.write(raw)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def _read_exact(fh, n: int, what: str) -> bytearray:
+    """The next ``n`` bytes, read into one new writable buffer."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:  # checked before reading: a corrupt length must not allocate n bytes
         raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, {left} left")
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, got {len(buf)}")
+    buf = bytearray(n)
+    got = fh.readinto(buf)
+    if got != n:
+        raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, got {got}")
     return buf
 
 
@@ -120,7 +122,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise IOFault(f"tensor {name}: payload is {nbytes} bytes but shape "
                               f"{shape} needs {expected}")
             raw = _read_exact(fh, nbytes, f"payload of {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):
             raise IOFault(f"trailing bytes after last tensor in {path}")
     return Checkpoint(version=header["format_version"], config=header["config"],

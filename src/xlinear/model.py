@@ -229,8 +229,9 @@ def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
     """Time-wise gating: one MLP over the 2*d_model axis, shared by all
     variables, whose activated output reweights the token sequence."""
     cfg = params.cfg
-    h = tc.relu_dropout(x_endo_tok @ params.tgm_w1 + params.tgm_b1, cfg.t_dropout, training, rng)
-    gate = tc.activation(h @ params.tgm_w2 + params.tgm_b2, cfg.gate_activation)
+    h = tc.mlp(x_endo_tok, params.tgm_w1, params.tgm_b1, params.tgm_w2, params.tgm_b2,
+               cfg.t_dropout, training, rng)
+    gate = tc.activation(h, cfg.gate_activation)
     gated = gate * x_endo_tok
     x_endo, x_glob = tc.split(gated, (cfg.d_model, cfg.d_model), axis=-1)
     return x_endo, x_glob, gate
@@ -244,7 +245,8 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     The MLP runs in the transposed [batch x d_model x (C+M)] layout so
     identical weights apply at every embedding position. The first bias rides in the
     GEMM as the weight row of a constant ones channel, so the
-    [batch x d_model x c_ff] hidden layer has no separate bias add. An elementwise gate
+    [batch x d_model x c_ff] hidden layer has no separate bias add; in eval it exists only
+    in :func:`~xlinear.tensor.mlp`'s row blocks. An elementwise gate
     computes only its M global-token columns; softmax normalizes over all C+M and keeps
     the last M.
     """
@@ -253,8 +255,8 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     t = tc.swap_last2(tok)
     t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
-    h = tc.relu_dropout(t1 @ w1, cfg.c_dropout, training, rng)
-    gate = tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation)
+    h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training, rng)
+    gate = tc.activation(h, cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
     gate = tc.swap_last2(gate)  # [b x M x d]

@@ -9,7 +9,9 @@ intermediate gradient buffers are released during the walk. A leaf's
 ``grad`` is ``None`` until a pull reaches it, and ``None`` reads as zero.
 
 With no active tape every op is a plain numpy computation, which is the
-eval-mode fast path.
+eval-mode fast path. :func:`mlp` goes one step further there: it runs a
+two-layer MLP over row blocks of ``MLP_BLOCK_FLOATS`` hidden floats, so its
+hidden layer never exists at full size.
 """
 
 from __future__ import annotations
@@ -226,13 +228,17 @@ def sqrt(a: Tensor) -> Tensor:
     return _push(out, pull)
 
 
+def _check_matmul(a_shape: tuple, w_shape: tuple):
+    if len(a_shape) < 2 or len(w_shape) != 2:
+        raise DimensionError(f"matmul needs (..., k) @ (k, n), got {a_shape} @ {w_shape}")
+    if a_shape[-1] != w_shape[0]:
+        raise DimensionError(f"matmul inner dims disagree: {a_shape} @ {w_shape}")
+
+
 def matmul(a: Tensor, w: Tensor) -> Tensor:
     """``a (..., k) @ w (k, n)`` as one GEMM over the rows of ``a``: dA = g wᵀ, dW = aᵀ g."""
-    if a.ndim < 2 or w.ndim != 2:
-        raise DimensionError(f"matmul needs (..., k) @ (k, n), got {a.shape} @ {w.shape}")
+    _check_matmul(a.shape, w.shape)
     k, n = w.shape
-    if a.shape[-1] != k:
-        raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {w.shape}")
     a2 = a.data.reshape(-1, k)
     out = _out((a2 @ w.data).reshape(a.shape[:-1] + (n,)), a, w)
 
@@ -485,6 +491,43 @@ def relu_dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generato
     if not training or rate == 0.0:
         return relu(x)
     return mul(x, Tensor(_keep_scale(x.data, rate, rng, positive=True)))
+
+
+# ---------------------------------------------------------------------------
+# two-layer MLP
+
+MLP_BLOCK_FLOATS = 1 << 16  # hidden floats per eval block: 512 KB, inside a 2 MB L2
+
+
+def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
+        rng: np.random.Generator) -> Tensor:
+    """``relu_dropout(x @ w1 + b1) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
+
+    Under an active tape, or with dropout on, this is those ops in that order. Otherwise
+    each block of about ``MLP_BLOCK_FLOATS // hidden width`` rows of ``x`` is biased and
+    clipped in place and multiplied into its rows of one output. Blocks start at multiples
+    of 8 rows and a 1-row tail joins the block before it: BLAS rounds a misaligned or lone
+    row (a matrix-vector product) unlike the same row of one full-size product.
+    """
+    if _active_tape is not None or (training and rate > 0.0):
+        h = matmul(x, w1) if b1 is None else add(matmul(x, w1), b1)
+        return add(matmul(relu_dropout(h, rate, training, rng), w2), b2)
+    _check_rate(rate)
+    _check_matmul(x.shape, w1.shape)
+    _check_matmul(x.shape[:-1] + w1.shape[1:], w2.shape)
+    x2 = x.data.reshape(-1, w1.shape[0])
+    rows = x2.shape[0]
+    out = np.empty((rows, w2.shape[1]))
+    step = max(MLP_BLOCK_FLOATS // w1.shape[1] // 8, 1) * 8
+    bounds = list(range(0, max(rows - 1, 1), step)) + [rows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        h = x2[lo:hi] @ w1.data
+        if b1 is not None:
+            h += b1.data
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, w2.data, out=out[lo:hi])
+    out += b2.data
+    return Tensor(out.reshape(x.shape[:-1] + w2.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

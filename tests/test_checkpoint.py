@@ -104,6 +104,16 @@ class TestRoundTrip:
         ck.save_checkpoint(b, rebuilt, RUN_CFG, SCALER, META)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_loaded_tensors_are_writable_and_share_no_memory(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        ck.save_checkpoint(path, make_params(small_cfg(), seed=13), RUN_CFG, SCALER, META)
+        arrays = list(ck.load_checkpoint(path).tensors.values())
+        assert all(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        arrays[0][...] = 1.0
+        assert not np.any(arrays[1] == 1.0)
+
     def test_identical_state_identical_bytes(self, tmp_path):
         cfg = small_cfg()
         a = tmp_path / "a.bin"
@@ -186,6 +196,14 @@ class TestValidation:
         path.write_bytes(raw[:-16])
         with pytest.raises(IOFault, match="truncated"):
             ck.load_checkpoint(path)
+
+    def test_truncated_payload_is_one_io_line_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "ck.bin"
+        ck.save_checkpoint(path, make_params(small_cfg()), RUN_CFG, SCALER, META)
+        path.write_bytes(path.read_bytes()[:-16])
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 5
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error[io]: truncated checkpoint")
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "ck.bin"

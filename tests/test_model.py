@@ -1,6 +1,8 @@
 """XLinear network tests: RevIN, embedding, gating modules, head,
 forward composition, ablations, and the gating-weight export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,23 @@ class TestVgm:
         for got, want in zip(outs + grads, ref_outs + ref_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n_endo,n_exo", [(7, 7), (1, 6)])
+    def test_eval_peak_stays_below_the_full_hidden_layer(self, n_endo, n_exo):
+        """In eval the [b*d_model x c_ff] hidden layer exists only in row blocks."""
+        cfg = tiny_cfg(n_endo=n_endo, n_exo=n_exo, d_model=32, c_ff=256)
+        p = make_params(cfg, seed=26)
+        data = np.random.default_rng(27)
+        e = Tensor(data.normal(size=(64, n_exo, 32)))
+        g = Tensor(data.normal(size=(64, n_endo, 32)))
+        hidden_bytes = 64 * cfg.d_model * cfg.c_ff * 8
+        tracemalloc.start()
+        try:
+            mdl.vgm(e, g, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < hidden_bytes, (peak, hidden_bytes)
+
 
 class TestHead:
     def test_zero_weights_broadcast_bias(self):
@@ -495,6 +514,26 @@ class TestForward:
         cfg0 = tiny_cfg(gate_activation="softmax", n_exo=0)
         _, trace0 = mdl.forward(make_batch(cfg0), make_params(cfg0, seed=23), training=False)
         np.testing.assert_allclose(trace0.variate_gate.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
+    @pytest.mark.parametrize("n_endo,n_exo", [(3, 3), (1, 4)])
+    @pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+    def test_eval_blocks_equal_the_taped_forward(self, monkeypatch, gate, n_endo, n_exo,
+                                                ablation):
+        """Blocks of 8 rows leave a ragged last block in both gating MLPs (11*n_endo TGM
+        rows, 66 VGM rows), and the eval forward still gives the taped forward's bits."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        cfg = tiny_cfg(gate_activation=gate, n_endo=n_endo, n_exo=n_exo, ablation=ablation)
+        p = make_params(cfg, seed=24)
+        b = make_batch(cfg, n=11, seed=25)
+        y_eval, trace_eval = mdl.forward(b, p, training=False)
+        tape = tc.Tape()
+        with tc.record(tape):
+            y_taped, trace_taped = mdl.forward(b, p, training=False)
+        assert tape.nodes and not y_eval.requires_grad
+        np.testing.assert_array_equal(y_eval.data, y_taped.data)
+        np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
+        np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
 
 
 class TestExport:

@@ -394,6 +394,100 @@ class TestReluDropout:
         assert (x.grad == 0).any() and (x.grad != 0).any()
 
 
+class TestMlp:
+    """``mlp`` in eval walks row blocks; under a tape or with dropout on it is the five ops."""
+
+    @staticmethod
+    def layers(k=5, width=8, n=3, bias=True, seed=12):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.normal(size=(k, width)), requires_grad=True),
+                Tensor(rng.normal(size=width), requires_grad=True) if bias else None,
+                Tensor(rng.normal(size=(width, n)), requires_grad=True),
+                Tensor(rng.normal(size=n), requires_grad=True))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 17, 30, 41])
+    @pytest.mark.parametrize("block_floats", [64, 40])
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_eval_blocks_equal_one_full_size_product(self, monkeypatch, bias, rows,
+                                                     block_floats, n):
+        """Blocks of 8 rows (40 floats of width 8 round up to 8 rows, and the 17-row case
+        has a 1-row tail, which joins the block before it) give the bits of the unblocked
+        layer, also for a 1-column output, which BLAS computes as matrix-vector products."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", block_floats)
+        w1, b1, w2, b2 = self.layers(bias=bias, n=n)
+        x = np.random.default_rng(13).normal(size=(rows, 5))
+        h = x @ w1.data + (b1.data if bias else 0.0)
+        want = np.maximum(h, 0.0) @ w2.data + b2.data
+        got = tc.mlp(Tensor(x), w1, b1, w2, b2, 0.4, training=False, rng=None)
+        np.testing.assert_array_equal(got.data, want)
+        assert not got.requires_grad
+
+    def test_keeps_the_leading_axes(self, monkeypatch):
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        w1, b1, w2, b2 = self.layers()
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 7, 5)))
+        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=True, rng=None)
+        flat = tc.mlp(tc.reshape(x, (21, 5)), w1, b1, w2, b2, 0.0, training=False, rng=None)
+        assert got.shape == (3, 7, 3)
+        np.testing.assert_array_equal(got.data.reshape(21, 3), flat.data)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_taped_path_is_the_composed_ops(self, bias, training):
+        w1, b1, w2, b2 = self.layers(bias=bias)
+        x = Tensor(np.random.default_rng(15).normal(size=(4, 6, 5)), requires_grad=True)
+        runs = []
+        for fused in (True, False):
+            rng = np.random.default_rng(16)
+            tape = Tape()
+            with record(tape):
+                if fused:
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, rng)
+                else:
+                    h = x @ w1 + b1 if bias else x @ w1
+                    y = tc.relu_dropout(h, 0.3, training, rng) @ w2 + b2
+                backward(tc.tsum(y * y), tape)
+            leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
+            runs.append(([pull.__qualname__ for _, pull in tape.nodes], y.data,
+                         [t.grad for t in leaves], rng.bit_generator.state))
+            for t in leaves:
+                t.zero_grad()
+        (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
+        assert ops == ref_ops and state == ref_state
+        np.testing.assert_array_equal(y, ref_y)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_dropout_without_a_tape_draws_like_the_composed_ops(self):
+        w1, b1, w2, b2 = self.layers()
+        x = Tensor(np.random.default_rng(17).normal(size=(9, 5)))
+        rng_a, rng_b = np.random.default_rng(18), np.random.default_rng(18)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.5, training=True, rng=rng_a)
+        want = tc.relu_dropout(x @ w1 + b1, 0.5, True, rng_b) @ w2 + b2
+        np.testing.assert_array_equal(got.data, want.data)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("w2_shape", [(7, 3), (8,), (8, 3, 1)])
+    def test_mis_shaped_w2_raises_as_under_a_tape(self, w2_shape):
+        w1, b1, _, b2 = self.layers()
+        w2 = Tensor(np.zeros(w2_shape), requires_grad=True)
+        x = Tensor(np.ones((2, 4, 5)))
+        with pytest.raises(DimensionError) as taped, record(Tape()):
+            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, rng=None)
+        with pytest.raises(DimensionError) as eval_mode:
+            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, rng=None)
+        assert str(eval_mode.value) == str(taped.value)
+        assert "matmul" in str(eval_mode.value)
+
+    def test_mis_shaped_input_raises_in_eval(self):
+        w1, b1, w2, b2 = self.layers()
+        with pytest.raises(DimensionError, match="inner dims"):
+            tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, training=False, rng=None)
+        with pytest.raises(DimensionError, match="needs"):
+            tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, training=False, rng=None)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
