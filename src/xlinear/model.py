@@ -200,7 +200,7 @@ def revin_denormalize(yhat: Tensor, stats: RevinStats, affine=None) -> Tensor:
 
 
 def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool = False,
-          rng: np.random.Generator | None = None):
+          rng: np.random.Generator | tc.DropoutMasks | None = None):
     """Project each variable's L-length history to d_model features."""
     cfg = params.cfg
     if x_endo.shape[-1] != cfg.lookback or e_exo.shape[-1] != cfg.lookback:
@@ -225,7 +225,7 @@ def attach_global_tokens(x_endo: Tensor, global_tokens: Tensor) -> Tensor:
 
 
 def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
-        rng: np.random.Generator | None = None):
+        rng: np.random.Generator | tc.DropoutMasks | None = None):
     """Time-wise gating: one MLP over the 2*d_model axis, shared by all
     variables, whose activated output reweights the token sequence."""
     cfg = params.cfg
@@ -238,7 +238,7 @@ def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
 
 
 def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-        rng: np.random.Generator | None = None):
+        rng: np.random.Generator | tc.DropoutMasks | None = None):
     """Variate-wise gating: an MLP over the stacked (C+M)-channel axis gates the M global
     tokens, the only rows the forecast reads.
 
@@ -264,7 +264,7 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
 
 
 def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-         rng: np.random.Generator | None = None) -> Tensor:
+         rng: np.random.Generator | tc.DropoutMasks | None = None) -> Tensor:
     """Channel-independent linear map from fused features to S steps.
 
     Output stays in the normalized space; the caller denormalizes.
@@ -281,7 +281,7 @@ def _check_finite(data: np.ndarray, stage: str):
 
 
 def forward(batch, params: XLinearParams, training: bool = False,
-            rng: np.random.Generator | None = None):
+            rng: np.random.Generator | tc.DropoutMasks | None = None):
     """Full forward pass over one WindowBatch.
 
     Returns the denormalized prediction tensor [batch x M x S] and a

@@ -12,11 +12,16 @@ With no active tape every op is a plain numpy computation, which is the
 eval-mode fast path. :func:`mlp` goes one step further there: it runs a
 two-layer MLP over row blocks of ``MLP_BLOCK_FLOATS`` hidden floats, so its
 hidden layer never exists at full size.
+
+Dropout draws its keep masks from a Generator, or replays them from a
+:class:`DropoutMasks`, which holds one batch's masks while the batch runs
+as several taped sub-batches.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -455,17 +460,61 @@ def _check_rate(rate: float):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
 
 
-def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator, positive: bool) -> np.ndarray:
-    """The inverted-dropout scale ``keep / (1 - rate)``, built in the buffer of its one
-    ``rng.random(x.shape)`` draw; ``positive`` also zeroes it where ``x <= 0``."""
-    buf = rng.random(x.shape)
-    keep = buf >= rate
+class DropoutMasks:
+    """The dropout keep masks of one batch of ``n`` windows, replayed over its sub-batches.
+
+    Pass it as the ``rng`` of :func:`dropout`, :func:`relu_dropout` or :func:`mlp`. Each
+    dropout site draws its mask from ``rng`` the first time it runs, at whole-batch shape
+    ``(n, ...)``, and keeps it as bool; :meth:`start` points every site at the rows of the
+    next sub-batch. The sites run in one order in every sub-batch, so the Generator stream
+    and the masks are those of a single pass over the whole batch.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n = rng, n
+        self.keep = []  # one bool [n x ...] mask per site, in call order
+        self.rows = slice(0, n)
+        self.site = 0
+
+    def start(self, rows: slice):
+        """Serve these rows of every site's mask, from the first site on."""
+        self.rows, self.site = rows, 0
+
+
+def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator | DropoutMasks,
+                positive: bool) -> np.ndarray:
+    """The inverted-dropout scale ``keep / (1 - rate)`` for ``x``; ``positive`` also zeroes
+    it where ``x <= 0``.
+
+    ``keep`` is ``u >= rate`` for uniform draws ``u`` in the order of one
+    ``rng.random(shape)`` call, drawn in row blocks of at most ``MLP_BLOCK_FLOATS`` through
+    one reused buffer. A Generator ``rng`` draws for ``x`` alone; a :class:`DropoutMasks`
+    draws the site's whole-batch mask on its first call and hands ``x`` its current rows.
+    """
+    masks = rng if isinstance(rng, DropoutMasks) else DropoutMasks(rng, x.shape[0])
+    if masks.site == len(masks.keep):
+        width = math.prod(x.shape[1:])
+        full = np.empty((masks.n, width), dtype=bool)
+        step = max(MLP_BLOCK_FLOATS // max(width, 1), 1)
+        buf = np.empty(min(step, masks.n) * width)
+        for lo in range(0, masks.n, step):
+            block = full[lo:lo + step]
+            u = buf[:block.size].reshape(block.shape)
+            masks.rng.random(out=u)
+            np.greater_equal(u, rate, out=block)
+        masks.keep.append(full.reshape((masks.n,) + x.shape[1:]))
+    keep = masks.keep[masks.site][masks.rows]
+    masks.site += 1
+    if keep.shape != x.shape:
+        raise UsageError(f"dropout site {masks.site - 1} replays a {keep.shape} mask "
+                         f"onto a {x.shape} input")
     if positive:
-        keep &= x > 0.0
-    return np.divide(keep, 1.0 - rate, out=buf)
+        keep = keep & (x > 0.0)
+    return np.divide(keep, 1.0 - rate)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool,
+            rng: np.random.Generator | DropoutMasks) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval."""
     _check_rate(rate)
     if not training or rate == 0.0:
@@ -479,7 +528,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return _push(out, pull)
 
 
-def relu_dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def relu_dropout(x: Tensor, rate: float, training: bool,
+                 rng: np.random.Generator | DropoutMasks) -> Tensor:
     """``dropout(relu(x))`` as one product with a constant scale, from the same draw.
 
     For finite ``x`` the result equals the two-op form apart from the sign of a zero (a
@@ -496,11 +546,11 @@ def relu_dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generato
 # ---------------------------------------------------------------------------
 # two-layer MLP
 
-MLP_BLOCK_FLOATS = 1 << 16  # hidden floats per eval block: 512 KB, inside a 2 MB L2
+MLP_BLOCK_FLOATS = 1 << 16  # floats per eval or dropout-draw block: 512 KB, inside a 2 MB L2
 
 
 def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
-        rng: np.random.Generator) -> Tensor:
+        rng: np.random.Generator | DropoutMasks) -> Tensor:
     """``relu_dropout(x @ w1 + b1) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
 
     Under an active tape, or with dropout on, this is those ops in that order. Otherwise

@@ -1,4 +1,9 @@
-"""Loss, Adam, the piecewise learning-rate schedule, and the train loop."""
+"""Loss, Adam, the piecewise learning-rate schedule, and the train loop.
+
+Each optimizer batch runs as sub-batches of at most ``STEP_BLOCK_FLOATS``
+hidden floats whose gradients add up in the parameter leaves before one
+Adam step, so a training step never holds a full-size hidden layer.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,9 @@ import numpy as np
 from . import data as dio
 from . import model as mdl
 from .errors import ConfigError, DimensionError, NumericFault
-from .tensor import Tape, Tensor, backward, record, tmean
+from .tensor import DropoutMasks, Tape, Tensor, backward, record, tsum
+
+STEP_BLOCK_FLOATS = 1 << 19  # hidden floats per training sub-batch: 4 MB
 
 
 @dataclass
@@ -47,16 +54,17 @@ class TrainConfig:
         return self
 
 
-def mse_loss(yhat: Tensor, y: Tensor) -> Tensor:
+def mse_loss(yhat: Tensor, y: Tensor, count: int | None = None) -> Tensor:
     """Mean squared error over every entry of [batch x M x S].
 
     The per-channel means averaged over the M channels equal the grand
-    mean, so one reduction covers both readings.
+    mean, so one reduction covers both readings. A sub-batch passes its
+    whole batch's entry ``count``, so the sub-batch losses sum to the batch's.
     """
     if yhat.shape != y.shape:
         raise DimensionError(f"loss shapes differ: {yhat.shape} vs {y.shape}")
     d = yhat - y
-    return tmean(d * d)
+    return tsum(d * d) / (d.size if count is None else count)
 
 
 def lr_schedule(lr_init: float, e: int) -> float:
@@ -146,6 +154,43 @@ class TrainLog:
             fh.write(self.as_csv_text())
 
 
+def sub_batch_windows(cfg: mdl.ModelConfig) -> int:
+    """Windows per training sub-batch: the most whose largest hidden layer, the VGM's
+    ``d_model x c_ff`` or the TGM's ``M x t_ff`` floats per window, fits in
+    ``STEP_BLOCK_FLOATS``."""
+    return max(1, STEP_BLOCK_FLOATS // max(cfg.d_model * cfg.c_ff, cfg.n_endo * cfg.t_ff))
+
+
+def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch,
+                         rng: np.random.Generator) -> float:
+    """Add one batch's MSE gradient to the parameter leaves and return its loss.
+
+    The batch runs as consecutive sub-batches of :func:`sub_batch_windows` windows, each
+    taped, scored against the whole batch's entry count and pulled back on its own, so no
+    step holds a full-size hidden layer. The sub-batches share one :class:`DropoutMasks`,
+    so they see the masks, and leave ``rng`` in the state, of one whole-batch pass; only
+    the order in which gradient parts are summed differs.
+    """
+    n, step = len(batch), sub_batch_windows(params.cfg)
+    masks = DropoutMasks(rng, n)
+    total = 0.0
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        sub = dio.WindowBatch(batch.endo_history[rows], batch.exo_history[rows],
+                              batch.endo_future[rows])
+        masks.start(rows)
+        tape = Tape()
+        with record(tape):
+            yhat, _ = mdl.forward(sub, params, training=True, rng=masks)
+            loss = mse_loss(yhat, Tensor(sub.endo_future), batch.endo_future.size)
+        loss_val = loss.item()
+        if not math.isfinite(loss_val):
+            raise NumericFault("non-finite training loss")
+        backward(loss, tape)
+        total += loss_val
+    return total
+
+
 def _val_mse(params: mdl.XLinearParams, ds: dio.TimeSeriesDataset, L: int, S: int,
              batch_size: int) -> float:
     """Pooled eval-mode MSE over every validation window."""
@@ -187,17 +232,10 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
         batches = dio.iter_batches(ds, "train", L, S, train_cfg.batch_size,
                                    shuffle=True, rng=shuffle_rng)
         for bi, batch in enumerate(batches):
-            tape = Tape()
             try:
-                with record(tape):
-                    yhat, _ = mdl.forward(batch, params, training=True, rng=dropout_rng)
-                    loss = mse_loss(yhat, Tensor(batch.endo_future))
+                loss_val = accumulate_gradients(params, batch, dropout_rng)
             except NumericFault as ex:
                 raise NumericFault(f"{ex} (epoch {e}, batch {bi})") from ex
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise NumericFault(f"non-finite training loss (epoch {e}, batch {bi})")
-            backward(loss, tape)
             adam_step(params, state, lr, train_cfg)
             total += loss_val * len(batch)
             count += len(batch)

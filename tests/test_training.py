@@ -1,7 +1,9 @@
 """Tests for the loss, Adam, LR schedule, early stopping, and train loop."""
 
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +218,18 @@ def synth_model_cfg():
                            c_dropout=0.0, head_dropout=0.0)
 
 
+def assert_reruns_identical(ds, mcfg):
+    """Two training runs of one config give identical losses and parameters."""
+    tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=3, patience=3, seed=5)
+    pa, la = tr.train(mcfg, tcfg, ds, echo=False)
+    pb, lb = tr.train(mcfg, tcfg, ds, echo=False)
+    assert [(r.train_loss, r.val_loss) for r in la.records] == \
+           [(r.train_loss, r.val_loss) for r in lb.records]
+    for (na, ta), (nb, tb) in zip(pa.named(), pb.named()):
+        assert na == nb
+        assert np.array_equal(ta.data, tb.data)
+
+
 class TestTrainLoop:
     def test_identifiable_task_converges(self, synth_ds):
         tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=8, patience=8)
@@ -223,14 +237,7 @@ class TestTrainLoop:
         assert log.best_val_loss < 0.01
 
     def test_deterministic_replay(self, synth_ds):
-        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=3, patience=3, seed=5)
-        pa, la = tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
-        pb, lb = tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
-        assert [(r.train_loss, r.val_loss) for r in la.records] == \
-               [(r.train_loss, r.val_loss) for r in lb.records]
-        for (na, ta), (nb, tb) in zip(pa.named(), pb.named()):
-            assert na == nb
-            assert np.array_equal(ta.data, tb.data)
+        assert_reruns_identical(synth_ds, synth_model_cfg())
 
     def test_endo_only_run_matches_zero_filled_grads(self, synth_ds, monkeypatch):
         """No pull reaches the VGM or the exogenous embedding in an ``endo_only`` run, so
@@ -328,3 +335,156 @@ class TestTrainLoop:
             tr.train(synth_model_cfg(), tr.TrainConfig(lr_init=-1.0), synth_ds)
         with pytest.raises(ConfigError):
             tr.train(synth_model_cfg(), tr.TrainConfig(patience=0), synth_ds)
+
+
+def force_sub_batch_windows(monkeypatch, cfg, windows):
+    """Set ``STEP_BLOCK_FLOATS`` so a training sub-batch of ``cfg`` holds ``windows``."""
+    per_window = max(cfg.d_model * cfg.c_ff, cfg.n_endo * cfg.t_ff)
+    monkeypatch.setattr(tr, "STEP_BLOCK_FLOATS", windows * per_window)
+    assert tr.sub_batch_windows(cfg) == windows
+
+
+@pytest.fixture
+def recorded_masks(monkeypatch):
+    """Every DropoutMasks that training makes, in order."""
+    made = []
+
+    class Recorded(tc.DropoutMasks):
+        def __init__(self, rng, n):
+            super().__init__(rng, n)
+            made.append(self)
+
+    monkeypatch.setattr(tr, "DropoutMasks", Recorded)
+    return made
+
+
+SUB_BATCH_MODEL = dict(horizon=4, lookback=16, d_model=8, t_ff=16, c_ff=12, embed_dropout=0.1,
+                       t_dropout=0.2, c_dropout=0.3, head_dropout=0.15)
+
+
+def sub_batch_case(tmp_path, target_mode, n=30, **model):
+    """Fresh params and an ``n``-window training batch of the synthetic series; ``model``
+    overrides fields of ``SUB_BATCH_MODEL``."""
+    ds = dio.load_csv(write_synthetic_csv(tmp_path / "series.csv", n_rows=400), target_mode)
+    ds = dio.split_and_scale(ds, (0.7, 0.1, 0.2), lookback=16, horizon=4)
+    cfg = mdl.ModelConfig(n_endo=ds.n_endo, n_exo=ds.n_exo,
+                          **{**SUB_BATCH_MODEL, **model}).validate()
+    batch = next(dio.iter_batches(ds, "train", 16, 4, n))
+    return cfg, mdl.XLinearParams(cfg, np.random.default_rng(3)), batch
+
+
+def batch_grads(params, batch, rng):
+    for p in params.all():
+        p.zero_grad()
+    loss = tr.accumulate_gradients(params, batch, rng)
+    return loss, {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
+
+
+CASES = [("multivariate", "sigmoid", "full"), ("last-column-endogenous", "sigmoid", "full"),
+         ("multivariate", "softmax", "full"), ("last-column-endogenous", "softmax", "full"),
+         ("multivariate", "sigmoid", "endo_only"),
+         ("last-column-endogenous", "sigmoid", "endo_only")]
+
+
+class TestSubBatches:
+    @pytest.mark.parametrize("target_mode,gate,ablation", CASES)
+    def test_accumulated_grads_match_one_shot(self, tmp_path, monkeypatch, target_mode, gate,
+                                              ablation):
+        cfg, params, batch = sub_batch_case(tmp_path, target_mode, gate_activation=gate,
+                                            ablation=ablation)
+        # reference: one tape over the whole batch, masks drawn straight from a Generator
+        tape = tc.Tape()
+        with tc.record(tape):
+            yhat, _ = mdl.forward(batch, params, training=True, rng=np.random.default_rng(9))
+            loss = tr.mse_loss(yhat, Tensor(batch.endo_future))
+        tc.backward(loss, tape)
+        taped = {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
+
+        force_sub_batch_windows(monkeypatch, cfg, len(batch))
+        one_loss, one = batch_grads(params, batch, np.random.default_rng(9))
+        assert one_loss == loss.item()
+        for name, g in one.items():
+            assert (g is None) == (taped[name] is None) and (g is None or
+                                                             np.array_equal(g, taped[name]))
+
+        force_sub_batch_windows(monkeypatch, cfg, 8)  # 30 windows: 8 + 8 + 8 + 6
+        sub_loss, sub = batch_grads(params, batch, np.random.default_rng(9))
+        assert sub_loss == pytest.approx(one_loss, rel=1e-12)
+        for name, g in sub.items():
+            want = one[name]
+            assert (g is None) == (want is None), name
+            if g is not None:
+                assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max(), name
+        if ablation == "endo_only":
+            assert sub["vgm_w1"] is None and sub["embed_exo_w"] is None
+
+    @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
+    def test_masks_replay_the_whole_batch_draw(self, tmp_path, monkeypatch, recorded_masks,
+                                               target_mode):
+        cfg, params, batch = sub_batch_case(tmp_path, target_mode)
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        rng = np.random.default_rng(11)
+        twin = copy.deepcopy(rng)
+        tr.accumulate_gradients(params, batch, rng)
+        (masks,) = recorded_masks
+        n, m, c, d = len(batch), cfg.n_endo, cfg.n_exo, cfg.d_model
+        sites = [((n, m, d), cfg.embed_dropout), ((n, c, d), cfg.embed_dropout),
+                 ((n, m, cfg.t_ff), cfg.t_dropout), ((n, d, cfg.c_ff), cfg.c_dropout),
+                 ((n, m, 2 * d), cfg.head_dropout)]
+        assert [k.shape for k in masks.keep] == [shape for shape, _ in sites]
+        for keep, (shape, rate) in zip(masks.keep, sites):
+            assert keep.dtype == bool and np.array_equal(keep, twin.random(shape) >= rate)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_rates_draw_nothing(self, tmp_path, monkeypatch, recorded_masks):
+        cfg, params, batch = sub_batch_case(tmp_path, "multivariate", embed_dropout=0.0,
+                                            t_dropout=0.0, c_dropout=0.0, head_dropout=0.0)
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        rng = np.random.default_rng(12)
+        state = copy.deepcopy(rng.bit_generator.state)
+        tr.accumulate_gradients(params, batch, rng)
+        assert [m.keep for m in recorded_masks] == [[]]
+        assert rng.bit_generator.state == state
+
+    def test_ragged_split_and_short_last_batch(self, tmp_path, monkeypatch):
+        cfg, _, _ = sub_batch_case(tmp_path, "last-column-endogenous")
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", "last-column-endogenous"),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        force_sub_batch_windows(monkeypatch, cfg, 32)
+        sizes, real_forward = [], mdl.forward
+
+        def forward(batch, params, training=False, rng=None):
+            if training:
+                sizes.append(len(batch))
+            return real_forward(batch, params, training, rng)
+
+        monkeypatch.setattr(mdl, "forward", forward)
+        tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1), ds, echo=False)
+        windows = dio.n_windows(ds, "train", 16, 4)
+        full, last = divmod(windows, 121)
+        assert full >= 1 and 0 < last < 121
+        tail = [32] * (last // 32) + ([last % 32] if last % 32 else [])
+        assert sizes == [32, 32, 32, 25] * full + tail
+
+    def test_sub_batched_reruns_are_identical(self, synth_ds, monkeypatch):
+        mcfg = dataclasses.replace(synth_model_cfg(), embed_dropout=0.1, t_dropout=0.1,
+                                   c_dropout=0.1, head_dropout=0.1)
+        force_sub_batch_windows(monkeypatch, mcfg, 8)
+        assert_reruns_identical(synth_ds, mcfg)
+
+    def test_step_peak_stays_below_twice_the_one_shot_hidden_layer(self, tmp_path,
+                                                                   monkeypatch):
+        cfg, params, batch = sub_batch_case(tmp_path, "last-column-endogenous", n=64,
+                                            d_model=32, c_ff=64)
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        state = tr.AdamState(params)
+        rng = np.random.default_rng(13)
+        hidden_bytes = len(batch) * cfg.d_model * cfg.c_ff * 8
+        tracemalloc.start()
+        try:
+            tr.accumulate_gradients(params, batch, rng)
+            tr.adam_step(params, state, 1e-3, tr.TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * hidden_bytes, (peak, hidden_bytes)
