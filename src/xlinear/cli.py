@@ -108,17 +108,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _forward_input(args):
+    """Restore ``args.checkpoint``, check any ``--horizon`` against it, and run one eval forward
+    over the last L rows of ``args.input``; returns (run_cfg, horizon, ds, yhat array, trace)."""
     ckpt, run_cfg, cfg, params = _restore(args)
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
+    horizon = cfg.horizon if getattr(args, "horizon", None) is None else args.horizon
     if not 1 <= horizon <= cfg.horizon:
         raise UsageError(f"--horizon must be in [1, {cfg.horizon}] for this "
                          f"checkpoint, got {horizon}")
     d = run_cfg.data
     ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
                                   date_column=d.date_column)
-    yhat, _ = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
-    fc = dio.inverse_scale_forecast(ds, yhat.data)[0, :, :horizon]
+    yhat, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
+    return run_cfg, horizon, ds, yhat.data, trace
+
+
+def cmd_predict(args) -> int:
+    run_cfg, horizon, ds, yhat, _ = _forward_input(args)
+    fc = dio.inverse_scale_forecast(ds, yhat)[0, :, :horizon]
     out_path = os.path.join(run_cfg.out_dir, "forecast.csv")
     with dio.output_file(out_path) as fh:
         fh.write("step," + ",".join(ds.endo_names) + "\n")
@@ -184,11 +191,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    ckpt, run_cfg, cfg, params = _restore(args)
-    d = run_cfg.data
-    ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
-                                  date_column=d.date_column)
-    _, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
+    run_cfg, _, ds, _, trace = _forward_input(args)
     t_path, v_path = mdl.export_gating_weights(trace, run_cfg.out_dir, ds.endo_names)
     print(f"written: {t_path}")
     print(f"written: {v_path}")

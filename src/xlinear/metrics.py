@@ -1,9 +1,9 @@
 """Forecast-quality metrics: MSE, MAE, NSE, KGE, MAPE.
 
-Series-level functions operate on 1-D float arrays. :func:`evaluate`
-pools every (window, step) prediction point per endogenous variable over
-a dataset split, computes the five metrics per variable, and averages
-them across variables.
+Series-level functions operate on 1-D float arrays. :func:`evaluate` pools
+every (window, step) prediction point per endogenous variable over a dataset
+split, computes the five metrics per variable, and averages them across
+variables. It and :func:`pooled_mse` walk the split through :func:`split_forecasts`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from .errors import MetricUndefinedError, UsageError
 METRIC_NAMES = ("mse", "mae", "nse", "kge", "mape")
 
 MAPE_EPS = 1e-8
+
+# windows per scoring batch: a batch's [batch x M x 2*d_model] arrays stay inside a 2 MB
+# L2 cache at the reproduction size (d_model 128, M = 7)
+EVAL_BATCH = 64
 
 
 def _series(y, yhat, min_len: int = 1):
@@ -171,33 +175,45 @@ def _metrics_for(y: np.ndarray, yhat: np.ndarray):
     return vals, errors, excluded
 
 
-def evaluate(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int,
-             scaled: bool = True, batch_size: int = 64) -> MetricsReport:
-    """Score ``model`` over every stride-1 window of a split.
-
-    ``model`` is a callable (endo_history, exo_history) -> [batch x M x S]
-    prediction array (see model.predictor). Predictions and truths are
-    pooled across windows per variable before any metric is computed;
-    with ``scaled=False`` both are mapped back to original units first. The default batch
-    of 64 windows keeps a batch's [batch x M x 2*d_model] arrays inside a 2 MB L2 cache at
-    the reproduction size (d_model 128, M = 7).
-    """
-    names = ds.endo_names
-    preds = {n: [] for n in names}
-    truth = {n: [] for n in names}
-    count = 0
-    for batch in dio.iter_batches(ds, split, L, S, batch_size):
+def split_forecasts(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int):
+    """Yield (prediction, truth) [batch x M x S] arrays for every stride-1 window of a split, in
+    origin order and batches of ``EVAL_BATCH`` windows. ``model`` is a callable
+    (endo_history, exo_history) -> prediction array (see model.predictor)."""
+    for batch in dio.iter_batches(ds, split, L, S, EVAL_BATCH):
         yhat = model(batch.endo_history, batch.exo_history)
         y = batch.endo_future
         if yhat.shape != y.shape:
             raise UsageError(f"model returned shape {yhat.shape}, expected {y.shape}")
+        yield yhat, y
+
+
+def pooled_mse(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int) -> float:
+    """Scaled-space MSE over every point of a split, summed batch by batch: no whole-split array."""
+    total, count = 0.0, 0
+    for yhat, y in split_forecasts(model, ds, split, L, S):
+        total += float(np.square(yhat - y).sum())
+        count += y.size
+    return total / count
+
+
+def evaluate(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int,
+             scaled: bool = True) -> MetricsReport:
+    """Score ``model`` over every stride-1 window of a split.
+
+    Predictions and truths from :func:`split_forecasts` are pooled across windows per
+    variable before any metric is computed; with ``scaled=False`` both are mapped back to
+    original units first.
+    """
+    names = ds.endo_names
+    preds = {n: [] for n in names}
+    truth = {n: [] for n in names}
+    for yhat, y in split_forecasts(model, ds, split, L, S):
         if not scaled:
             yhat = dio.inverse_scale_forecast(ds, yhat)
             y = dio.inverse_scale_forecast(ds, y)
         for j, n in enumerate(names):
             preds[n].append(yhat[:, j, :].ravel())
             truth[n].append(y[:, j, :].ravel())
-        count += len(batch)
 
     per_variable = {}
     metric_errors = {}
@@ -218,7 +234,7 @@ def evaluate(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int,
         aggregate=aggregate,
         mape_excluded=mape_excluded,
         metric_errors=metric_errors,
-        n_windows=count,
+        n_windows=dio.n_windows(ds, split, L, S),
         horizon=S,
         scaled_space=scaled,
     )

@@ -425,17 +425,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _push(out, pull)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _out(x.data.mean(axis=axis, keepdims=keepdims), x)
-    axes = _norm_axes(axis, x.ndim)
-    count = int(np.prod([x.data.shape[a] for a in axes])) if axes else x.data.size
-
-    def pull(g):
-        _accum(x, _expand_reduced(g, x.data.shape, axes, keepdims) / count)
-
-    return _push(out, pull)
-
-
 def _norm_axes(axis, ndim):
     if axis is None:
         return tuple(range(ndim))

@@ -2,7 +2,9 @@
 
 Each optimizer batch runs as sub-batches of at most ``STEP_BLOCK_FLOATS``
 hidden floats whose gradients add up in the parameter leaves before one
-Adam step, so a training step never holds a full-size hidden layer.
+Adam step, so a training step never holds a full-size hidden layer. Each
+epoch's validation loss is :func:`xlinear.metrics.pooled_mse` over the
+validation split, the same walk that ``evaluate`` scores.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as dio
+from . import metrics as mx
 from . import model as mdl
 from .errors import ConfigError, DimensionError, NumericFault
 from .tensor import DropoutMasks, Tape, Tensor, backward, record, tsum
@@ -191,19 +194,6 @@ def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch,
     return total
 
 
-def _val_mse(params: mdl.XLinearParams, ds: dio.TimeSeriesDataset, L: int, S: int,
-             batch_size: int) -> float:
-    """Pooled eval-mode MSE over every validation window."""
-    total = 0.0
-    count = 0
-    for batch in dio.iter_batches(ds, "val", L, S, batch_size):
-        yhat, _ = mdl.forward(batch, params, training=False)
-        err = yhat.data - batch.endo_future
-        total += float((err * err).sum())
-        count += err.size
-    return total / count
-
-
 def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeriesDataset,
           echo: bool = True):
     """Run the full optimization and return (params at best epoch, TrainLog).
@@ -240,7 +230,7 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
             total += loss_val * len(batch)
             count += len(batch)
         train_loss = total / count
-        val_loss = _val_mse(params, ds, L, S, train_cfg.batch_size)
+        val_loss = mx.pooled_mse(mdl.predictor(params, model_cfg), ds, "val", L, S)
         if not math.isfinite(val_loss):
             raise NumericFault(f"non-finite validation loss (epoch {e})")
         seconds = time.perf_counter() - t0

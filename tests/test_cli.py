@@ -26,6 +26,8 @@ from xlinear.errors import ConfigError
 
 from synthetic_series import lagged_sine_series, write_synthetic_csv
 
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def make_config(tmp_dir, csv_path, **over):
     cfg = {
@@ -639,19 +641,20 @@ class TestErrors:
         assert re.fullmatch(r"error\[[a-z]+\]: .+", err)
 
     def test_console_script_subprocess(self, tmp_path):
+        # the package source, so the child imports xlinear whatever the caller's environment
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONWARNINGS": "ignore"}
         proc = subprocess.run(
             [sys.executable, "-c",
              "from xlinear.cli import entry; entry()",
              ],
-            input="", capture_output=True, text=True,
-            env={**os.environ, "PYTHONWARNINGS": "ignore"},
+            input="", capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 2  # argparse usage failure: no subcommand
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys; sys.argv = ['xlinear', 'eval', '--checkpoint', "
              f"'{tmp_path}/none.bin']; from xlinear.cli import entry; entry()"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 5
         assert proc.stderr.strip().startswith("error[io]:")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xlinear import data as dio
+from xlinear import metrics as mx
 from xlinear import model as mdl
 from xlinear import tensor as tc
 from xlinear import training as tr
@@ -282,7 +283,7 @@ class TestTrainLoop:
     def test_returned_params_are_val_best(self, synth_ds):
         tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=4, patience=4)
         params, log = tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
-        recomputed = tr._val_mse(params, synth_ds, 48, 8, 64)
+        recomputed = mx.pooled_mse(mdl.predictor(params, params.cfg), synth_ds, "val", 48, 8)
         assert recomputed == log.best_val_loss
         assert log.best_epoch == min(log.records, key=lambda r: r.val_loss).epoch
 
@@ -300,7 +301,7 @@ class TestTrainLoop:
         assert log.stopped_early
         assert len(log.records) == log.best_epoch + tcfg.patience + 1
         assert log.best_epoch < log.records[-1].epoch
-        recomputed = tr._val_mse(params, ds, 24, 4, 16)
+        recomputed = mx.pooled_mse(mdl.predictor(params, mcfg), ds, "val", 24, 4)
         assert recomputed == log.best_val_loss
 
     def test_csv_round_trip(self, synth_ds, tmp_path):
@@ -488,3 +489,44 @@ class TestSubBatches:
         finally:
             tracemalloc.stop()
         assert peak < 2 * hidden_bytes, (peak, hidden_bytes)
+
+
+class TestValidationLoss:
+    @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
+    def test_val_loss_is_the_evaluate_mse(self, tmp_path, monkeypatch, target_mode):
+        """With every dropout rate above 0, each epoch's ``val_loss`` is the pooled
+        validation MSE that ``evaluate`` reports for that epoch's params, and the returned
+        params score ``best_val_loss`` again bit for bit."""
+        ds = dio.load_csv(write_synthetic_csv(tmp_path / "series.csv", n_rows=1000), target_mode)
+        ds = dio.split_and_scale(ds, (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        assert dio.n_windows(ds, "val", 16, 4) > mx.EVAL_BATCH  # the sum spans batches
+        cfg = mdl.ModelConfig(n_endo=ds.n_endo, n_exo=ds.n_exo, **SUB_BATCH_MODEL).validate()
+        assert min(cfg.embed_dropout, cfg.t_dropout, cfg.c_dropout, cfg.head_dropout) > 0
+        scored, real_pooled_mse = [], mx.pooled_mse
+
+        def pooled_mse(model, ds, split, L, S):
+            scored.append(mx.evaluate(model, ds, split, L, S).aggregate["mse"])
+            return real_pooled_mse(model, ds, split, L, S)
+
+        monkeypatch.setattr(mx, "pooled_mse", pooled_mse)
+        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=24, max_epochs=4, patience=4, seed=8)
+        params, log = tr.train(cfg, tcfg, ds, echo=False)
+        assert len(scored) == len(log.records) == 4
+        for r, want in zip(log.records, scored):
+            assert r.val_loss == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert real_pooled_mse(mdl.predictor(params, cfg), ds, "val", 16, 4) == log.best_val_loss
+
+    def test_val_pass_ignores_the_training_batch_size(self, tmp_path, monkeypatch):
+        """The validation walk batches ``EVAL_BATCH`` windows whatever ``batch_size`` is."""
+        cfg, _, _ = sub_batch_case(tmp_path, "multivariate")
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", "multivariate"),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        sizes, real_iter_batches = {}, dio.iter_batches
+
+        def iter_batches(ds, split, L, S, batch_size, **kw):
+            sizes.setdefault(split, set()).add(batch_size)
+            return real_iter_batches(ds, split, L, S, batch_size, **kw)
+
+        monkeypatch.setattr(dio, "iter_batches", iter_batches)
+        tr.train(cfg, tr.TrainConfig(batch_size=7, max_epochs=2, patience=2), ds, echo=False)
+        assert sizes == {"train": {7}, "val": {mx.EVAL_BATCH}}
