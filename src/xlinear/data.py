@@ -313,6 +313,11 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
     if mean.shape != (len(names),) or std.shape != mean.shape:
         raise IOFault(f"malformed scaler in checkpoint: {len(names)} variables, "
                       f"mean shape {mean.shape}, std shape {std.shape}")
+    bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0.0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise IOFault(f"malformed scaler in checkpoint: variable {names[j]!r} has mean "
+                      f"{float(mean[j])!r}, std {float(std[j])!r}; need finite values, std > 0")
     return TimeSeriesDataset(
         variable_names=names, values=(values - mean) / std, target_mode=target_mode,
         timestamps=stamps, scaler_mean=mean, scaler_std=std,

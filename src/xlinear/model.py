@@ -252,14 +252,14 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     """
     cfg = params.cfg
     tok = tc.concat([e_exo, x_glob], axis=1)  # [b x (C+M) x d]
-    t = tc.swap_last2(tok)
+    t = tc.transpose(tok)
     t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
     h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training, rng)
     gate = tc.activation(h, cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
-    gate = tc.swap_last2(gate)  # [b x M x d]
+    gate = tc.transpose(gate)  # [b x M x d]
     return gate * x_glob, gate
 
 

@@ -1,8 +1,9 @@
-"""Acceptance gate: nine criteria, one verdict line each.
+"""Acceptance gate: ten criteria, one verdict line each.
 
-Criteria 1-3 and 9 run on synthetic data. Criteria 4-8 train on the ETT
-benchmark CSVs, found via the XLINEAR_DATA_DIR environment variable
-(default /root/data), and are skipped when those files are absent.
+Criteria 1-3, 9 and 10 (with its negative control) run on synthetic data.
+Criteria 4-8 train on the ETT benchmark CSVs, found via the
+XLINEAR_DATA_DIR environment variable (default /root/data), and are
+skipped when those files are absent.
 The four ETT reproduction runs share the hyperparameters frozen in
 configs/: d_model 128, t_ff 256, c_ff 128, dropouts 0.1, lr 5e-4,
 batch 128, max 10 epochs, patience 3, seed 2025.
@@ -25,7 +26,7 @@ from xlinear import tensor as tc
 from xlinear import training as tr
 from xlinear.tensor import Tensor
 
-from synthetic_series import write_synthetic_csv
+from synthetic_series import write_driven_csv, write_synthetic_csv
 from test_metrics import kge_oracle, mape_oracle, mse_mae_oracle, nse_oracle
 
 ETT_DIR = os.environ.get("XLINEAR_DATA_DIR", "/root/data")
@@ -253,3 +254,47 @@ def test_criterion_9_synthetic_identifiability(capsys, tmp_path):
     verdict(capsys, 9, ok,
             f"val mse {log.best_val_loss:.5f} (bound 0.01, first < 0.01 at epoch "
             f"{first_hit}), {elapsed:.1f}s")
+
+
+def driven_mse_ratios(tmp_path, driven):
+    """Test MSE of ``full`` over that of ``endo_only`` on :func:`driven_series` for data and
+    training seeds 1-3, and the seconds taken."""
+    t0 = time.perf_counter()
+    ratios = []
+    for seed in (1, 2, 3):
+        path = write_driven_csv(tmp_path / f"driven_{seed}.csv", seed=seed, driven=driven)
+        ds = dio.load_csv(path, "last-column-endogenous")
+        ds = dio.split_and_scale(ds, (0.7, 0.1, 0.2), lookback=48, horizon=8)
+        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=15, patience=5,
+                              seed=seed)
+        mse = {}
+        for ablation in ("full", "endo_only"):
+            cfg = mdl.ModelConfig(horizon=8, n_endo=1, n_exo=3, lookback=48, d_model=32,
+                                  t_ff=64, c_ff=32, embed_dropout=0.0, t_dropout=0.0,
+                                  c_dropout=0.0, head_dropout=0.0, ablation=ablation)
+            params, _ = tr.train(cfg, tcfg, ds, echo=False)
+            rep = mx.evaluate(mdl.predictor(params, cfg), ds, "test", 48, 8, scaled=True)
+            mse[ablation] = rep.aggregate["mse"]
+        ratios.append(mse["full"] / mse["endo_only"])
+    return ratios, time.perf_counter() - t0
+
+
+def test_criterion_10_exogenous_driver(capsys, tmp_path):
+    """The paper's claim: exogenous inputs that drive the target one way are exploited
+    through the global token. y is a smoothed copy of the AR(1) driver x lagged by 12 >= S
+    steps, beside two AR(1) noise channels."""
+    ratios, elapsed = driven_mse_ratios(tmp_path, driven=True)
+    ok = max(ratios) <= 0.6 and elapsed < 30.0
+    verdict(capsys, 10, ok,
+            "test mse full / endo_only per seed "
+            + ", ".join(f"{r:.3f}" for r in ratios) + f" (bound 0.6), {elapsed:.1f}s")
+
+
+def test_criterion_10_negative_control(capsys, tmp_path):
+    """The same task with y an AR(1) series independent of x: the exogenous channels carry
+    nothing, so ``full`` must score as ``endo_only`` does."""
+    ratios, elapsed = driven_mse_ratios(tmp_path, driven=False)
+    ok = all(0.9 <= r <= 1.1 for r in ratios) and elapsed < 30.0
+    verdict(capsys, "10 control", ok,
+            "test mse full / endo_only per seed "
+            + ", ".join(f"{r:.3f}" for r in ratios) + f" (bounds 0.9-1.1), {elapsed:.1f}s")

@@ -62,9 +62,9 @@ def full_width_vgm(e_exo, x_glob, params, training=False, rng=None):
     ``(c_ff, C+M)`` ``vgm_w2``, of which the forecast reads the global-token rows."""
     cfg = params.cfg
     tok = tc.concat([e_exo, x_glob], axis=1)
-    h = tc.relu(tc.swap_last2(tok) @ params.vgm_w1 + params.vgm_b1)
+    h = tc.activation(tc.transpose(tok) @ params.vgm_w1 + params.vgm_b1, "relu")
     h = tc.dropout(h, cfg.c_dropout, training, rng)
-    gate = tc.swap_last2(tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation))
+    gate = tc.transpose(tc.activation(h @ params.vgm_w2 + params.vgm_b2, cfg.gate_activation))
     _, x_glob2 = tc.split(gate * tok, (cfg.n_exo, cfg.n_endo), axis=1)
     return x_glob2, tc.narrow(gate, 1, cfg.n_exo, cfg.n_endo)
 

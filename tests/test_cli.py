@@ -10,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +433,31 @@ class TestErrors:
         err = capsys.readouterr().err.strip().split("\n")
         assert rc == 5
         assert len(err) == 1 and err[0].startswith("error[io]:")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_corrupt_stored_scaler_one_io_line(self, trained, tmp_path, capsys, command, std):
+        """A stored scaler whose std is not finite and positive is rejected before any
+        scaling: no numpy warning, no misplaced numeric error, no output file."""
+        raw = trained["checkpoint"].read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        header = json.loads(raw[8:8 + hlen])
+        header["scaler"]["std"][-1] = std
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen:])
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", str(bad), "--out-dir", str(out)]
+        if command == "predict":
+            argv += ["--input", str(trained["csv"])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+        err = capsys.readouterr().err.strip().split("\n")
+        assert rc == 5 and not caught
+        assert len(err) == 1 and err[0].startswith("error[io]: malformed scaler"), err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("where, patch, key", [
         ("config", {"train": {"seed": -5}}, "seed"),

@@ -8,7 +8,7 @@ import pytest
 
 from xlinear import model as mdl
 from xlinear import tensor as tc
-from xlinear.errors import DimensionError, NumericFault
+from xlinear.errors import DimensionError, NumericFault, UsageError
 from xlinear.tensor import Tensor
 from xlinear.training import mse_loss
 
@@ -310,10 +310,10 @@ class TestVgm:
 
         def unpruned(e, g, p, training, rng):
             tok = tc.concat([e, g], axis=1)
-            h = tc.relu(tc.swap_last2(tok) @ p.vgm_w1 + p.vgm_b1)
+            h = tc.activation(tc.transpose(tok) @ p.vgm_w1 + p.vgm_b1, "relu")
             h = tc.dropout(h, cfg.c_dropout, training, rng)
-            gate = tc.swap_last2(tc.activation(h @ full.vgm_w2 + full.vgm_b2,
-                                               cfg.gate_activation))
+            gate = tc.transpose(tc.activation(h @ full.vgm_w2 + full.vgm_b2,
+                                              cfg.gate_activation))
             _, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
             return x_glob2, tc.split(gate, (n_exo, n_endo), axis=1)[1]
 
@@ -425,6 +425,14 @@ class TestForward:
         yc, _ = mdl.forward(b, p, training=True, rng=np.random.default_rng(2))
         assert np.array_equal(ya.data, yb.data)
         assert not np.array_equal(ya.data, yc.data)
+
+    @pytest.mark.parametrize("site", ["embed_dropout", "t_dropout", "c_dropout",
+                                      "head_dropout"])
+    def test_training_dropout_without_rng_is_a_usage_error(self, site):
+        """Each dropout site, the gating MLPs' hidden layers included, names the missing rng."""
+        cfg = tiny_cfg(**{site: 0.2})
+        with pytest.raises(UsageError, match="rng"):
+            mdl.forward(make_batch(cfg), make_params(cfg), training=True)
 
     def test_ablations_differ_only_through_gated_global_path(self):
         cfg_full = tiny_cfg()
