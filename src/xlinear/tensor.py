@@ -13,9 +13,9 @@ eval-mode fast path. :func:`mlp` goes one step further there: it runs a
 two-layer MLP over row blocks of ``MLP_BLOCK_FLOATS`` hidden floats, so its
 hidden layer never exists at full size.
 
-Dropout draws its keep masks from a Generator, or replays them from a
-:class:`DropoutMasks`, which holds one batch's masks while the batch runs
-as several taped sub-batches.
+Dropout draws its keep masks from a Generator, four 16-bit lanes per
+generator output, or replays them from a :class:`DropoutMasks`, which
+holds one batch's masks while the batch runs as several taped sub-batches.
 """
 
 from __future__ import annotations
@@ -208,7 +208,11 @@ def _check_matmul(a_shape: tuple, w_shape: tuple):
 
 
 def matmul(a: Tensor, w: Tensor) -> Tensor:
-    """``a (..., k) @ w (k, n)`` as one GEMM over the rows of ``a``: dA = g wᵀ, dW = aᵀ g."""
+    """``a (..., k) @ w (k, n)`` as one GEMM over the rows of ``a``: dA = g wᵀ, dW = aᵀ g.
+
+    Each gradient takes the faster of two forms with the same bits: a broadcast outer
+    product for dA of a one-column ``w``, and ``(gᵀ a)ᵀ`` for dW when n < k.
+    """
     _check_matmul(a.shape, w.shape)
     k, n = w.shape
     a2 = a.data.reshape(-1, k)
@@ -217,8 +221,9 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
     def pull(g):
         g2 = g.reshape(-1, n)
         if a.requires_grad:
-            _accum(a, (g2 @ w.data.T).reshape(a.data.shape))
-        _accum(w, a2.T @ g2)
+            da = g2 * w.data[:, 0] if n == 1 else g2 @ w.data.T
+            _accum(a, da.reshape(a.data.shape))
+        _accum(w, (g2.T @ a2).T if n < k else a2.T @ g2)
 
     return _push(out, pull)
 
@@ -228,9 +233,14 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp only of non-positive values keeps this overflow-free
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # 1/(1+t) where x >= 0, else t/(1+t), with t = exp(-|x|) built in place: exp only of
+    # non-positive values keeps this overflow-free
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    num = np.where(x >= 0.0, 1.0, t)
+    t += 1.0
+    return np.divide(num, t, out=num)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -410,27 +420,29 @@ class DropoutMasks:
 
 def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator | DropoutMasks,
                 positive: bool) -> np.ndarray:
-    """The inverted-dropout scale ``keep / (1 - rate)`` for ``x``; ``positive`` also zeroes
-    it where ``x <= 0``.
+    """The inverted-dropout scale ``keep / (1 - t / 2**16)`` for ``x``, with
+    ``t = min(round(rate * 2**16), 2**16 - 1)``; ``positive`` also zeroes it where ``x <= 0``.
 
-    ``keep`` is ``u >= rate`` for uniform draws ``u`` in the order of one
-    ``rng.random(shape)`` call, drawn in row blocks of at most ``MLP_BLOCK_FLOATS`` through
-    one reused buffer. A Generator ``rng`` draws for ``x`` alone; a :class:`DropoutMasks`
-    draws the site's whole-batch mask on its first call and hands ``x`` its current rows.
+    Each output of ``rng.bit_generator.random_raw`` gives four entries their 16-bit lanes,
+    low bits first, and ``keep`` is ``lane >= t``: the stream of one ``random_raw`` call of
+    ``ceil(x.size / 4)`` outputs, drawn in flat blocks of about ``MLP_BLOCK_FLOATS`` entries.
+    Below ``rate = 1 - 2**-17`` the effective rate ``t / 2**16`` is within 2**-17 of
+    ``rate``; above it ``t`` would round to 2**16 and keep nothing, so it keeps the top lane.
+    A Generator ``rng`` draws for ``x`` alone; a :class:`DropoutMasks` draws the site's
+    whole-batch mask on its first call and hands ``x`` its current rows.
     """
     if rng is None:
         raise UsageError("dropout in training needs an rng, got None")
     masks = rng if isinstance(rng, DropoutMasks) else DropoutMasks(rng, x.shape[0])
+    t = min(round(rate * 65536), 65535)
     if masks.site == len(masks.keep):
-        width = math.prod(x.shape[1:])
-        full = np.empty((masks.n, width), dtype=bool)
-        step = max(MLP_BLOCK_FLOATS // max(width, 1), 1)
-        buf = np.empty(min(step, masks.n) * width)
-        for lo in range(0, masks.n, step):
+        full = np.empty(masks.n * math.prod(x.shape[1:]), dtype=bool)
+        step = max(MLP_BLOCK_FLOATS // 4, 1) * 4
+        for lo in range(0, full.size, step):
             block = full[lo:lo + step]
-            u = buf[:block.size].reshape(block.shape)
-            masks.rng.random(out=u)
-            np.greater_equal(u, rate, out=block)
+            raw = masks.rng.bit_generator.random_raw(-(-block.size // 4))
+            lanes = raw.astype("<u8", copy=False).view("<u2")[:block.size]
+            np.greater_equal(lanes, t, out=block)
         masks.keep.append(full.reshape((masks.n,) + x.shape[1:]))
     keep = masks.keep[masks.site][masks.rows]
     masks.site += 1
@@ -439,12 +451,13 @@ def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator | DropoutMa
                          f"onto a {x.shape} input")
     if positive:
         keep = keep & (x > 0.0)
-    return np.divide(keep, 1.0 - rate)
+    return np.divide(keep, 1.0 - t / 65536)
 
 
 def dropout(x: Tensor, rate: float, training: bool,
             rng: np.random.Generator | DropoutMasks) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval."""
+    """Inverted dropout at the lane rate ``t / 2**16`` of :func:`_keep_scale`: survivors
+    scaled by ``1 / (1 - t / 2**16)``; identity in eval."""
     _check_rate(rate)
     if not training or rate == 0.0:
         return x

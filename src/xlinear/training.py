@@ -91,7 +91,11 @@ class AdamState:
 def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: TrainConfig):
     """One bias-corrected Adam update from the accumulated grads; grads
     are zeroed afterwards. A parameter no pull reached (``grad`` None) has a zero
-    gradient: its moments still decay."""
+    gradient: its moments still decay.
+
+    The update ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` is built in two buffers per
+    parameter, one operation at a time in that order, so it has the bits of the expression.
+    """
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -101,10 +105,19 @@ def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: Train
         v = state.v[name]
         m *= cfg.beta1
         v *= cfg.beta2
+        den = np.empty_like(v)
         if g is not None:
-            m += (1.0 - cfg.beta1) * g
-            v += (1.0 - cfg.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m += np.multiply(g, 1.0 - cfg.beta1, out=den)
+            np.multiply(g, 1.0 - cfg.beta2, out=den)
+            den *= g
+            v += den
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.eps
+        upd = np.divide(m, bc1)
+        upd *= lr
+        upd /= den
+        p.data -= upd
         p.zero_grad()
 
 

@@ -16,6 +16,8 @@ from xlinear import tensor as tc
 from xlinear.errors import ConfigError, DimensionError, UsageError
 from xlinear.tensor import Tape, Tensor, backward, grad_check, record
 
+from lane_masks import lane_keep
+
 
 def fd_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar-returning f() w.r.t. x,
@@ -130,6 +132,48 @@ class TestMatmul:
         np.testing.assert_allclose(both, ad_grad(lambda: f(x), w) + ad_grad(lambda: f(e), w),
                                    rtol=1e-12)
 
+    # (windows, rows per window, k, n) of the model's GEMMs in one 32-window training
+    # sub-batch at the reproduction size (d_model 128, c_ff 128, L = S = 96), M mode with
+    # 7 endo / 7 exo and MS mode with 1 / 6, plus the VGM's second layer at the paper size
+    MODEL_GEMMS = {
+        "vgm_w1_M": (32, 128, 15, 128), "vgm_w2_M": (32, 128, 128, 7),
+        "vgm_w1_MS": (32, 128, 8, 128), "vgm_w2_MS": (32, 128, 128, 1),
+        "head_M": (32, 7, 256, 96), "head_MS": (32, 1, 256, 96),
+        "embed_endo_M": (32, 7, 96, 128), "embed_exo_MS": (32, 6, 96, 128),
+        "vgm_w2_M_paper": (4, 256, 512, 7),
+    }
+
+    @pytest.mark.parametrize("shape", MODEL_GEMMS.values(), ids=MODEL_GEMMS)
+    def test_pull_has_the_bits_of_the_plain_gemms(self, shape):
+        """A one-column ``w``'s dA is a broadcast outer product and dW for n < k is
+        ``(gᵀ a)ᵀ``; both give the bits of ``g wᵀ`` and ``aᵀ g`` at the model's shapes."""
+        b, r, k, n = shape
+        rng = np.random.default_rng(k * n + r)
+        a = Tensor(rng.normal(size=(b, r, k)), requires_grad=True)
+        w = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+        g = rng.normal(size=(b, r, n))
+        tape = Tape()
+        with record(tape):
+            loss = tc.tsum((a @ w) * Tensor(g))
+        backward(loss, tape)
+        a2, g2 = a.data.reshape(-1, k), g.reshape(-1, n)
+        np.testing.assert_array_equal(a.grad.reshape(-1, k), g2 @ w.data.T)
+        np.testing.assert_array_equal(w.grad, a2.T @ g2)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 9], ids=["one_column", "n_lt_k", "n_eq_k", "n_gt_k"])
+    def test_grad_check_on_each_pull_form(self, n):
+        rng = np.random.default_rng(20 + n)
+        a = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, n)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 3, n)))
+
+        def f():
+            y = a @ w
+            return tc.tsum(y * y * c)
+
+        report = grad_check(f, [a, w], rel_tol=1e-6)
+        assert report.passed, str(report)
+
     def test_right_operand_must_be_2d(self):
         with pytest.raises(DimensionError):
             Tensor(np.ones((2, 2, 3))) @ Tensor(np.ones((2, 3, 4)))
@@ -159,7 +203,45 @@ class TestMatmul:
             assert p.grad is None, name
 
 
+def two_branch_sigmoid(x):
+    """The sigmoid as two full-size branches joined by ``where``, the reference form."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestActivations:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308,
+               708.0, -708.0, 709.0, -709.0, 36.7, -36.7, 5e-324, -5e-324]
+
+    def test_sigmoid_has_the_bits_of_the_two_branch_form(self):
+        """Under ``errstate(all="raise")`` each value gives the reference's bits (signs of
+        zeros and NaN payloads too) or the same error: beyond |x| of about 708, exp(-|x|)
+        is subnormal and both forms raise underflow. With underflow ignored every value,
+        ±745 and ±1e308 included, and 800k random ones give the same bits."""
+        for v in self.SPECIAL:
+            x = np.full(3, v)
+            outcomes = []
+            for fn in (tc._sigmoid, two_branch_sigmoid):
+                try:
+                    with np.errstate(all="raise"):
+                        outcomes.append(fn(x))
+                except FloatingPointError as ex:
+                    outcomes.append(str(ex))
+            got, want = outcomes
+            assert (got == want) if isinstance(want, str) else same_bits(got, want), v
+        rng = np.random.default_rng(21)
+        x = np.concatenate([self.SPECIAL, rng.normal(scale=4.0, size=400_000),
+                            rng.uniform(-800.0, 800.0, size=400_000)])
+        with np.errstate(all="raise", under="ignore"):
+            assert same_bits(tc._sigmoid(x), two_branch_sigmoid(x))
+        inner = x[np.abs(x) < 700.0]
+        with np.errstate(all="raise"):
+            assert same_bits(tc._sigmoid(inner), two_branch_sigmoid(inner))
+
     def test_sigmoid_at_zero(self):
         assert tc.activation(Tensor([0.0]), "sigmoid").data[0] == 0.5
 
@@ -347,15 +429,59 @@ class TestDropout:
         assert abs(est - x.data.mean()) / x.data.mean() < 0.02
 
     def test_grad_uses_the_same_mask(self):
-        x = Tensor(np.ones(1000), requires_grad=True)
+        """Forward and pull use one mask: a twin Generator's lanes (1001 entries leave three
+        lanes of the last output unused), survivors scaled by exactly 1/(1 - t/65536), and
+        the Generator left where the twin's draw leaves it."""
+        x = Tensor(np.ones(1001), requires_grad=True)
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
         tape = Tape()
         with record(tape):
-            y = tc.dropout(x, 0.3, training=True, rng=np.random.default_rng(7))
-            kept = y.data > 0  # mask realized in the forward
+            y = tc.dropout(x, 0.3, training=True, rng=rng)
             loss = tc.tsum(y)
         backward(loss, tape)
-        np.testing.assert_allclose(x.grad[kept], 1.0 / 0.7)
-        np.testing.assert_allclose(x.grad[~kept], 0.0)
+        keep, scale = lane_keep(twin, x.shape, 0.3)
+        assert scale == 65536 / 45875  # t = round(0.3 * 65536) = 19661
+        assert keep.any() and not keep.all()
+        np.testing.assert_array_equal(y.data, np.where(keep, scale, 0.0))
+        np.testing.assert_array_equal(x.grad, np.where(keep, scale, 0.0))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [2.0 ** -18, 7.6e-6])
+    def test_a_rate_below_half_a_lane_step_keeps_everything(self, rate):
+        """Below 2**-17 the threshold rounds to 0: every entry is kept at scale 1, and the
+        Generator still advances by the draw."""
+        x = Tensor(np.random.default_rng(1).normal(size=(5, 9)))
+        rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+        y = tc.dropout(x, rate, training=True, rng=rng)
+        keep, scale = lane_keep(twin, x.shape, rate)
+        assert keep.all() and scale == 1.0
+        np.testing.assert_array_equal(y.data, x.data)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [1.0 - 2.0 ** -17, 1.0 - 2.0 ** -18, np.nextafter(1.0, 0.0)])
+    def test_a_rate_within_half_a_lane_step_of_one_keeps_the_top_lane(self, rate):
+        """There ``round(rate * 65536)`` is 65536, which would keep nothing and scale by
+        1/0; the threshold stays at 65535, so the top lane survives at scale 65536."""
+        x = Tensor(np.ones((64, 4096)))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        with np.errstate(all="raise"):
+            y = tc.dropout(x, rate, training=True, rng=rng)
+        keep, scale = lane_keep(twin, x.shape, rate)
+        assert scale == 65536.0 and keep.any()
+        np.testing.assert_array_equal(y.data, np.where(keep, 65536.0, 0.0))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("block_floats", [4, 10, 12, 1000, 1 << 16])
+    def test_masks_do_not_depend_on_the_draw_block(self, monkeypatch, block_floats):
+        """The draw walks flat blocks of a multiple of 4 entries (10 rounds down to 8), so
+        every block size gives the whole-site draw and the same Generator end state."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", block_floats)
+        x = Tensor(np.random.default_rng(4).normal(size=(7, 13, 11)))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        y = tc.dropout(x, 0.25, training=True, rng=rng)
+        keep, scale = lane_keep(twin, x.shape, 0.25)
+        np.testing.assert_array_equal(y.data, x.data * np.where(keep, scale, 0.0))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def hidden_layer(x, rate, training, rng):
@@ -457,8 +583,8 @@ class TestMlp:
                 else:  # with dropout on, the hidden layer is one mul by relu and the keep mask
                     h = x @ w1 + b1 if bias else x @ w1
                     if training:
-                        keep = (rng.random(h.shape) >= 0.3) & (h.data > 0.0)
-                        h = h * Tensor(keep / (1.0 - 0.3))
+                        keep, scale = lane_keep(rng, h.shape, 0.3)
+                        h = h * Tensor((keep & (h.data > 0.0)) * scale)
                     else:
                         h = tc.activation(h, "relu")
                     y = h @ w2 + b2

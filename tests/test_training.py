@@ -16,6 +16,7 @@ from xlinear import training as tr
 from xlinear.errors import ConfigError, DimensionError, NumericFault
 from xlinear.tensor import Tensor
 
+from lane_masks import lane_keep
 from synthetic_series import write_synthetic_csv
 
 
@@ -152,6 +153,41 @@ class TestAdamStep:
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
         assert runs[0][1][0] == 0.3 * cfg.beta1 and runs[0][0][0] != 0.75
+
+    def test_three_steps_have_the_bits_of_the_expression(self):
+        """The in-place update equals ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g*g`` and
+        ``p - lr*(m/bc1)/(sqrt(v/bc2) + eps)`` bit for bit over three steps, with a
+        transposed (non-contiguous) gradient and a parameter no pull reached."""
+        cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4,
+                              t_ff=5, c_ff=5).validate()
+        tcfg = tr.TrainConfig(beta1=0.85, beta2=0.995, eps=1e-7)
+        params = mdl.XLinearParams(cfg, np.random.default_rng(0))
+        state = tr.AdamState(params)
+        ref = {name: p.data.copy() for name, p in params.named()}
+        ref_m = {name: np.zeros_like(p.data) for name, p in params.named()}
+        ref_v = {name: np.zeros_like(p.data) for name, p in params.named()}
+        rng = np.random.default_rng(1)
+        for t, lr in enumerate((1e-3, 3e-4, 5e-2), start=1):
+            grads = {}
+            for name, p in params.named():
+                g = None if name == "head_b" and t == 2 else rng.normal(size=p.shape)
+                if g is not None and g.ndim == 2:
+                    g = np.ascontiguousarray(g.T).T
+                grads[name] = p.grad = g
+            tr.adam_step(params, state, lr, tcfg)
+            bc1, bc2 = 1.0 - tcfg.beta1 ** t, 1.0 - tcfg.beta2 ** t
+            for name, p in params.named():
+                g, m, v = grads[name], ref_m[name], ref_v[name]
+                m *= tcfg.beta1
+                v *= tcfg.beta2
+                if g is not None:
+                    m += (1.0 - tcfg.beta1) * g
+                    v += (1.0 - tcfg.beta2) * g * g
+                ref[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + tcfg.eps)
+                assert np.array_equal(p.data, ref[name]), (t, name)
+                assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
+                assert p.grad is None
+        assert any(not g.flags.c_contiguous for g in grads.values() if g is not None)
 
     def test_hundred_steps_on_quadratic(self):
         p = ScalarParams(1.0)
@@ -434,8 +470,25 @@ class TestSubBatches:
                  ((n, m, 2 * d), cfg.head_dropout)]
         assert [k.shape for k in masks.keep] == [shape for shape, _ in sites]
         for keep, (shape, rate) in zip(masks.keep, sites):
-            assert keep.dtype == bool and np.array_equal(keep, twin.random(shape) >= rate)
+            assert keep.dtype == bool and np.array_equal(keep, lane_keep(twin, shape, rate)[0])
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rates", [(0.1, 0.2, 0.3, 0.15), (0.05, 0.5, 0.9, 0.45)])
+    def test_each_site_keeps_its_binomial_share(self, tmp_path, recorded_masks, rates):
+        """Each site's keep fraction lies within 5 sigma of ``1 - t/65536``."""
+        embed, t_rate, c_rate, head_rate = rates
+        cfg, params, batch = sub_batch_case(tmp_path, "multivariate", n=64, d_model=32,
+                                            t_ff=64, c_ff=64, embed_dropout=embed,
+                                            t_dropout=t_rate, c_dropout=c_rate,
+                                            head_dropout=head_rate)
+        tr.accumulate_gradients(params, batch, np.random.default_rng(14))
+        (masks,) = recorded_masks
+        site_rates = (embed, embed, t_rate, c_rate, head_rate)
+        assert len(masks.keep) == len(site_rates)
+        for keep, rate in zip(masks.keep, site_rates):
+            p = 1.0 - round(rate * 65536) / 65536
+            sigma = math.sqrt(p * (1.0 - p) / keep.size)
+            assert abs(keep.mean() - p) <= 5.0 * sigma, (rate, keep.size, keep.mean())
 
     def test_zero_rates_draw_nothing(self, tmp_path, monkeypatch, recorded_masks):
         cfg, params, batch = sub_batch_case(tmp_path, "multivariate", embed_dropout=0.0,
