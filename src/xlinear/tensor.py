@@ -16,6 +16,9 @@ hidden layer never exists at full size.
 Dropout draws its keep masks from a Generator, four 16-bit lanes per
 generator output, or replays them from a :class:`DropoutMasks`, which
 holds one batch's masks while the batch runs as several taped sub-batches.
+A mask stays bool, with one scalar survivor scale beside it. With dropout
+on, :func:`mlp` applies relu and dropout in place in its hidden layer's one
+full-size buffer, and the pull writes the hidden gradient back into it.
 """
 
 from __future__ import annotations
@@ -238,14 +241,35 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
-    num = np.where(x >= 0.0, 1.0, t)
+    num = np.maximum(t, x >= 0.0)
     t += 1.0
     return np.divide(num, t, out=num)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise transform, or row-wise softmax over the final axis."""
-    if kind == "relu":
+def activation(x: Tensor, kind: str, keep: tuple[np.ndarray, float] | None = None) -> Tensor:
+    """Elementwise transform, or row-wise softmax over the final axis.
+
+    ``keep=(mask, c)`` with ``kind="relu"`` is relu with inverted dropout: a bool ``mask``
+    and survivor scale ``c`` from :func:`_keep_scale` give ``x·(mask & (x > 0))·c``. It is
+    computed in place in ``x``'s buffer, and the pull writes ``g·(mask & (x > 0))·c`` back
+    into the same buffer, so the caller must own ``x.data``, no other pull may read it,
+    and the node is pulled once; :func:`mlp`'s hidden layer is such a buffer.
+    """
+    if keep is not None:
+        if kind != "relu":
+            raise UsageError(f"a keep mask goes with a relu activation, not {kind!r}")
+        mask, c = keep
+        live = x.data > 0.0
+        live &= mask
+        buf = np.multiply(x.data, live, out=x.data)
+        buf *= c
+        out = _out(buf, x)
+
+        def pull(g):
+            np.multiply(g, live, out=buf)
+            _accum(x, np.multiply(buf, c, out=buf))
+
+    elif kind == "relu":
         out = _out(np.maximum(x.data, 0.0), x)
 
         def pull(g):
@@ -418,10 +442,10 @@ class DropoutMasks:
         self.rows, self.site = rows, 0
 
 
-def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator | DropoutMasks,
-                positive: bool) -> np.ndarray:
-    """The inverted-dropout scale ``keep / (1 - t / 2**16)`` for ``x``, with
-    ``t = min(round(rate * 2**16), 2**16 - 1)``; ``positive`` also zeroes it where ``x <= 0``.
+def _keep_scale(x: np.ndarray, rate: float,
+                rng: np.random.Generator | DropoutMasks) -> tuple[np.ndarray, float]:
+    """The inverted-dropout keep mask of ``x`` as bool, and the survivor scale
+    ``c = 1 / (1 - t / 2**16)``, with ``t = min(round(rate * 2**16), 2**16 - 1)``.
 
     Each output of ``rng.bit_generator.random_raw`` gives four entries their 16-bit lanes,
     low bits first, and ``keep`` is ``lane >= t``: the stream of one ``random_raw`` call of
@@ -449,23 +473,27 @@ def _keep_scale(x: np.ndarray, rate: float, rng: np.random.Generator | DropoutMa
     if keep.shape != x.shape:
         raise UsageError(f"dropout site {masks.site - 1} replays a {keep.shape} mask "
                          f"onto a {x.shape} input")
-    if positive:
-        keep = keep & (x > 0.0)
-    return np.divide(keep, 1.0 - t / 65536)
+    return keep, 1.0 / (1.0 - t / 65536)
 
 
 def dropout(x: Tensor, rate: float, training: bool,
             rng: np.random.Generator | DropoutMasks) -> Tensor:
     """Inverted dropout at the lane rate ``t / 2**16`` of :func:`_keep_scale`: survivors
-    scaled by ``1 / (1 - t / 2**16)``; identity in eval."""
+    scaled by ``c = 1 / (1 - t / 2**16)``; identity in eval. Forward and pull multiply by
+    the bool mask, then by ``c``: the bits of one product with the float scale
+    ``keep · c``, zero signs and NaN included."""
     _check_rate(rate)
     if not training or rate == 0.0:
         return x
-    scale = _keep_scale(x.data, rate, rng, positive=False)
-    out = _out(x.data * scale, x)
+    keep, c = _keep_scale(x.data, rate, rng)
+    y = x.data * keep
+    y *= c
+    out = _out(y, x)
 
     def pull(g):
-        _accum(x, g * scale)
+        gx = g * keep
+        gx *= c
+        _accum(x, gx)
 
     return _push(out, pull)
 
@@ -481,22 +509,21 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     """``dropout(relu(x @ w1 + b1)) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
 
     Under an active tape, or with dropout on, this is ``matmul``, ``add``, the hidden layer,
-    ``matmul`` and ``add``. With dropout on the hidden layer is one ``mul`` by a constant
-    scale holding relu and the keep mask of :func:`dropout`'s draw (for finite input, the
-    two-op result up to the sign of a zero); else it is ``activation(h, "relu")``. Otherwise
-    each block of about ``MLP_BLOCK_FLOATS // hidden width`` rows of ``x`` is biased and
-    clipped in place and multiplied into its rows of one output. Blocks start at multiples
-    of 8 rows and a 1-row tail joins the block before it: BLAS rounds a misaligned or lone
-    row (a matrix-vector product) unlike the same row of one full-size product.
+    ``matmul`` and ``add``. With dropout on the hidden layer is ``activation(h, "relu",
+    keep)`` with the keep mask of :func:`dropout`'s draw (for finite input, the two-op
+    result up to the sign of a zero): it overwrites the buffer that the first GEMM or bias
+    add made, which only this function holds, and its pull writes the hidden gradient back
+    into it once the second GEMM's pull has read it; else it is ``activation(h, "relu")``.
+    Otherwise each block of about ``MLP_BLOCK_FLOATS // hidden width`` rows of ``x`` is
+    biased and clipped in place and multiplied into its rows of one output. Blocks start at
+    multiples of 8 rows and a 1-row tail joins the block before it: BLAS rounds a misaligned
+    or lone row (a matrix-vector product) unlike the same row of one full-size product.
     """
     _check_rate(rate)
     dropping = training and rate > 0.0
     if _active_tape is not None or dropping:
         h = matmul(x, w1) if b1 is None else add(matmul(x, w1), b1)
-        if dropping:
-            h = mul(h, Tensor(_keep_scale(h.data, rate, rng, positive=True)))
-        else:
-            h = activation(h, "relu")
+        h = activation(h, "relu", _keep_scale(h.data, rate, rng) if dropping else None)
         return add(matmul(h, w2), b2)
     _check_matmul(x.shape, w1.shape)
     _check_matmul(x.shape[:-1] + w1.shape[1:], w2.shape)

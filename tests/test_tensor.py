@@ -530,6 +530,66 @@ class TestReluDropout:
         assert (x.grad == 0).any() and (x.grad != 0).any()
 
 
+def bits(a) -> np.ndarray:
+    """The float64 bit patterns of ``a``: zero signs and NaN payloads compare too."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+SPECIAL = np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf·0 in SPECIAL
+class TestMaskedRelu:
+    """``activation(x, "relu", keep=(mask, c))``: relu and inverted dropout in ``x``'s own
+    buffer, with the pull's gradient written back into it."""
+
+    @staticmethod
+    def case(seed=20):
+        data = np.random.default_rng(seed)
+        x = np.concatenate([SPECIAL, data.normal(size=190)]).reshape(8, 25)
+        mask, c = lane_keep(data, x.shape, 0.3)
+        g = np.concatenate([data.normal(size=190), SPECIAL]).reshape(8, 25)
+        return x, mask, c, g
+
+    def test_writes_over_its_input_and_pulls_into_the_same_buffer(self):
+        x, mask, c, g = self.case()
+        h = Tensor(x.copy(), requires_grad=True)
+        buf = h.data
+        tape = Tape()
+        with record(tape):
+            y = tc.activation(h, "relu", keep=(mask, c))
+            loss = tc.tsum(y * Tensor(g))
+        scale = (mask & (x > 0.0)) * c  # the float scale of the mul it replaces
+        assert y.data is buf
+        np.testing.assert_array_equal(bits(buf), bits(x * scale))
+        backward(loss, tape)
+        assert h.grad is buf
+        np.testing.assert_array_equal(bits(buf), bits(g * scale))
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "swish", "softmax"])
+    def test_a_mask_goes_with_relu_only(self, kind):
+        with pytest.raises(UsageError, match="relu"):
+            tc.activation(Tensor(np.ones((2, 3))), kind, keep=(np.ones((2, 3), bool), 2.0))
+
+    def test_dropout_has_the_bits_of_the_float_scale_product(self):
+        """``dropout`` multiplies by the bool mask and then by ``c``, in forward and pull;
+        that is one product with the float scale ``keep · c``, bit for bit."""
+        x, _, _, g = self.case(22)
+        h = Tensor(x, requires_grad=True)
+        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        tape = Tape()
+        with record(tape):
+            y = tc.dropout(h, 0.3, training=True, rng=rng)
+            loss = tc.tsum(y * Tensor(g))
+        backward(loss, tape)
+        keep, c = lane_keep(twin, x.shape, 0.3)
+        scale = np.where(keep, c, 0.0)
+        assert keep.any() and not keep.all()
+        np.testing.assert_array_equal(bits(y.data), bits(x * scale))
+        np.testing.assert_array_equal(bits(h.grad), bits(g * scale))
+        np.testing.assert_array_equal(bits(h.data), bits(x))
+
+
 class TestMlp:
     """``mlp`` in eval walks row blocks; under a tape or with dropout on it is the five ops."""
 
@@ -571,6 +631,9 @@ class TestMlp:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("training", [False, True])
     def test_taped_path_is_the_composed_ops(self, bias, training):
+        """With dropout on, ``mlp``'s hidden layer is one masked-relu ``activation`` node
+        where the composition has a ``mul`` by the float scale; values, gradients and the
+        Generator's end state are the composition's bit for bit."""
         w1, b1, w2, b2 = self.layers(bias=bias)
         x = Tensor(np.random.default_rng(15).normal(size=(4, 6, 5)), requires_grad=True)
         runs = []
@@ -585,6 +648,7 @@ class TestMlp:
                     if training:
                         keep, scale = lane_keep(rng, h.shape, 0.3)
                         h = h * Tensor((keep & (h.data > 0.0)) * scale)
+                        hidden = len(tape.nodes) - 1
                     else:
                         h = tc.activation(h, "relu")
                     y = h @ w2 + b2
@@ -595,6 +659,8 @@ class TestMlp:
             for t in leaves:
                 t.zero_grad()
         (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
+        if training:
+            ref_ops[hidden] = "activation.<locals>.pull"
         assert ops == ref_ops and state == ref_state
         np.testing.assert_array_equal(y, ref_y)
         for g, ref in zip(grads, ref_grads):

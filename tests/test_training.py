@@ -543,6 +543,66 @@ class TestSubBatches:
             tracemalloc.stop()
         assert peak < 2 * hidden_bytes, (peak, hidden_bytes)
 
+    @pytest.mark.parametrize("n_endo,n_exo,layers", [(1, 6, 3.5), (7, 7, 5.6)])
+    def test_reproduction_size_step_holds_one_hidden_buffer(self, n_endo, n_exo, layers):
+        """One taped 32-window step at the reproduction size (L = S = 96, d_model 128,
+        t_ff 256, c_ff 128) peaks below ``layers`` VGM hidden layers of [32 x 128 x 128]
+        floats: the hidden layer is one buffer in forward and its gradient is written back
+        into it. The step peaks at 3.0 (MS) and 5.2 (M) hidden layers; one more full-size
+        buffer in forward or backward gives 4.0 and 6.1, and a hidden layer built as a
+        ``mul`` by a float scale 6.0 and 8.4."""
+        cfg = mdl.ModelConfig(n_endo=n_endo, n_exo=n_exo, lookback=96, horizon=96, d_model=128,
+                              t_ff=256, c_ff=128).validate()
+        n = tr.sub_batch_windows(cfg)
+        assert n == 32
+        params = mdl.XLinearParams(cfg, np.random.default_rng(30))
+        data = np.random.default_rng(31)
+        batch = dio.WindowBatch(data.normal(size=(n, n_endo, 96)),
+                                data.normal(size=(n, n_exo, 96)),
+                                data.normal(size=(n, n_endo, 96)))
+        tr.accumulate_gradients(params, batch, np.random.default_rng(32))
+        for p in params.all():
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            tr.accumulate_gradients(params, batch, np.random.default_rng(33))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hidden_bytes = n * cfg.d_model * cfg.c_ff * 8
+        assert peak < layers * hidden_bytes, (peak / hidden_bytes, layers)
+
+    @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
+    def test_training_has_the_bits_of_the_float_scale_hidden_layer(self, tmp_path,
+                                                                   monkeypatch, target_mode):
+        """A sub-batched ``train`` run gives the parameters and log, bit for bit, of the same
+        run with each taped hidden layer built as a ``mul`` by the float scale
+        ``(keep & (h > 0)) · c``."""
+        cfg, _, _ = sub_batch_case(tmp_path, target_mode)
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", target_mode),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=24, max_epochs=2, patience=2, seed=5)
+        params, log = tr.train(cfg, tcfg, ds, echo=False)
+        real_mlp, taped = tc.mlp, []
+
+        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, rng):
+            if not training:
+                return real_mlp(x, w1, b1, w2, b2, rate, training, rng)
+            taped.append(x.shape[0])
+            h = x @ w1 if b1 is None else x @ w1 + b1
+            keep, c = tc._keep_scale(h.data, rate, rng)
+            h = h * Tensor((keep & (h.data > 0.0)) * c)
+            return h @ w2 + b2
+
+        monkeypatch.setattr(tc, "mlp", float_scale_mlp)
+        ref_params, ref_log = tr.train(cfg, tcfg, ds, echo=False)
+        assert 8 in taped  # the reference ran, in 8-window sub-batches
+        for (name, p), ref in zip(params.named(), ref_params.all()):
+            assert np.array_equal(p.data.view(np.uint64), ref.data.view(np.uint64)), name
+        assert [(r.train_loss, r.val_loss) for r in log.records] == \
+            [(r.train_loss, r.val_loss) for r in ref_log.records]
+
 
 class TestValidationLoss:
     @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
