@@ -35,7 +35,6 @@ class TimeSeriesDataset:
     variable_names: tuple
     values: np.ndarray
     target_mode: str
-    timestamps: tuple | None = None
     scaler_mean: np.ndarray | None = None
     scaler_std: np.ndarray | None = None
     split_bounds: tuple | None = None  # ((a,b) train, (a,b) val, (a,b) test)
@@ -95,9 +94,10 @@ class WindowBatch:
 
 
 def read_csv_values(path, limit_rows: int | None = None, date_column: str = "date"):
-    """Parse a UTF-8 series CSV (optional BOM) into (variable names, [rows x vars] float64,
-    timestamps or None): plain numeric text by :func:`_parse_plain`, the rest by
-    :func:`_scan_values`, which names the line and column of a ragged row or bad cell."""
+    """Parse a UTF-8 series CSV (optional BOM) into (variable names, [rows x vars] float64):
+    plain numeric text by :func:`_parse_plain`, the rest by :func:`_scan_values`, which
+    names the line and column of a ragged row or bad cell. A leading ``date_column`` is
+    skipped."""
     if limit_rows is not None and limit_rows < 1:
         raise ConfigError(f"limit_rows must be at least 1, got {limit_rows}")
     try:
@@ -121,7 +121,8 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
 
 
 def _columns(header, date_column: str):
-    """(whether the first column holds timestamps, value column names) of a header row."""
+    """(whether the first column is the skipped date column, value column names) of a
+    header row."""
     header = [h.strip() for h in header]
     has_date = bool(header) and header[0] == date_column
     return has_date, header[1:] if has_date else header
@@ -148,8 +149,7 @@ def _parse_plain(text: str, limit_rows: int | None, date_column: str):
                             usecols=range(has_date, commas + 1))
     except ValueError:
         return None
-    stamps = tuple(r.partition(",")[0] for r in rows) if has_date else None
-    return (tuple(names), values, stamps) if np.isfinite(values).all() else None
+    return (tuple(names), values) if np.isfinite(values).all() else None
 
 
 def _scan_values(path, text: str, limit_rows: int | None, date_column: str):
@@ -163,7 +163,7 @@ def _scan_values(path, text: str, limit_rows: int | None, date_column: str):
     if not names:
         raise DataError(f"{path}: no value columns in header")
 
-    rows, stamps = [], []
+    rows = []
     for line_no, row in enumerate(reader, start=2):
         if not row:  # tolerate blank trailing lines
             continue
@@ -171,8 +171,6 @@ def _scan_values(path, text: str, limit_rows: int | None, date_column: str):
             raise DataError(
                 f"{path}, line {line_no}: ragged row, expected "
                 f"{len(header)} cells, got {len(row)}")
-        if has_date:
-            stamps.append(row[0])
         parsed = []
         for j, cell in enumerate(row[1:] if has_date else row):
             try:
@@ -191,7 +189,7 @@ def _scan_values(path, text: str, limit_rows: int | None, date_column: str):
             break
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return tuple(names), np.asarray(rows, dtype=np.float64), tuple(stamps) if has_date else None
+    return tuple(names), np.asarray(rows, dtype=np.float64)
 
 
 def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = None,
@@ -202,7 +200,7 @@ def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = N
     ----------
     path : str or Path
         File with a header row; an optional leading ``date`` column is
-        kept as timestamps and excluded from the value matrix.
+        skipped.
     target_mode : str
         ``multivariate``: every variable is both endogenous and
         exogenous. ``last-column-endogenous``: the final column is the
@@ -218,19 +216,14 @@ def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = N
     """
     if target_mode not in TARGET_MODES:
         raise ConfigError(f"target_mode must be one of {TARGET_MODES}, got {target_mode!r}")
-    names, values, stamps = read_csv_values(path, limit_rows, date_column)
+    names, values = read_csv_values(path, limit_rows, date_column)
 
     constant = [names[j] for j in range(values.shape[1])
                 if values[:, j].min() == values[:, j].max()]
     if constant:
         raise DataError(f"{path}: constant column(s) {', '.join(repr(c) for c in constant)}; "
                         "a constant series cannot be standardized")
-    return TimeSeriesDataset(
-        variable_names=names,
-        values=values,
-        target_mode=target_mode,
-        timestamps=stamps,
-    )
+    return TimeSeriesDataset(variable_names=names, values=values, target_mode=target_mode)
 
 
 def check_split_ratios(ratios):
@@ -253,30 +246,23 @@ def split_bounds(n: int, ratios) -> tuple:
     return ((0, train_end), (train_end, val_end), (val_end, n))
 
 
-def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int | None = None,
-                    horizon: int | None = None) -> TimeSeriesDataset:
+def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int, horizon: int) -> TimeSeriesDataset:
     """Split rows by ratio (:func:`split_bounds`), fit a z-score scaler on
     train rows only, and transform every row.
 
-    When ``lookback`` and ``horizon`` are passed, each split must admit
-    at least one window (val/test windows may reach back ``lookback``
-    rows for history).
+    Each split must admit at least one window (val/test windows may reach
+    back ``lookback`` rows for history).
     """
-    n = ds.n_rows
-    bounds = split_bounds(n, ratios)
-    train_end, val_end = bounds[1]
-    if lookback is not None and horizon is not None:
-        need = lookback + horizon
-        for name, (a, b) in zip(("train", "val", "test"), bounds):
-            usable = b - max(0, a - lookback)
-            if usable < need:
-                raise DataError(
-                    f"{name} split has {usable} usable rows but a window needs "
-                    f"at least L+S = {need}")
-    elif min(train_end, val_end - train_end, n - val_end) < 1:
-        raise DataError(f"dataset with {n} rows is too short for ratios {ratios}")
+    bounds = split_bounds(ds.n_rows, ratios)
+    need = lookback + horizon
+    for name, (a, b) in zip(("train", "val", "test"), bounds):
+        usable = b - max(0, a - lookback)
+        if usable < need:
+            raise DataError(
+                f"{name} split has {usable} usable rows but a window needs "
+                f"at least L+S = {need}")
 
-    train = ds.values[:train_end]
+    train = ds.values[:bounds[0][1]]
     mean = train.mean(axis=0)
     std = train.std(axis=0)  # population divisor; consistent with inverse
     # min==max catches constant train columns whose std is roundoff, not 0
@@ -300,7 +286,7 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
     scored in the space the model was trained in. Split bounds follow
     ``ratios`` as in :func:`split_and_scale`.
     """
-    names, values, stamps = read_csv_values(path, limit_rows, date_column)
+    names, values = read_csv_values(path, limit_rows, date_column)
     try:
         stored = list(scaler["variable_names"])
         mean = np.asarray(scaler["mean"], dtype=np.float64)
@@ -320,8 +306,7 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
                       f"{float(mean[j])!r}, std {float(std[j])!r}; need finite values, std > 0")
     return TimeSeriesDataset(
         variable_names=names, values=(values - mean) / std, target_mode=target_mode,
-        timestamps=stamps, scaler_mean=mean, scaler_std=std,
-        split_bounds=split_bounds(values.shape[0], ratios))
+        scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios))
 
 
 def scaler_dict(ds: TimeSeriesDataset) -> dict:

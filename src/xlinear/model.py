@@ -50,9 +50,11 @@ class ModelConfig:
     share_embedding: bool = False
 
     def validate(self):
-        for name in ("horizon", "n_endo", "lookback", "d_model", "t_ff", "c_ff"):
+        for name in ("horizon", "n_endo", "d_model", "t_ff", "c_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lookback < 2:  # RevIN's per-window std needs two points
+            raise ConfigError(f"lookback must be >= 2, got {self.lookback}")
         if self.n_exo < 0:
             raise ConfigError(f"n_exo must be >= 0, got {self.n_exo}")
         for name in ("embed_dropout", "t_dropout", "c_dropout", "head_dropout"):
@@ -301,10 +303,7 @@ def forward(batch, params: XLinearParams, training: bool = False,
 
     affine = (params.revin_gamma, params.revin_beta) if cfg.revin_affine else None
     xn, stats = revin_normalize(x_raw, affine)
-    if cfg.n_exo > 0:
-        en, _ = revin_normalize(e_raw, None)  # stats discarded, never denormalized
-    else:
-        en = e_raw
+    en, _ = revin_normalize(e_raw, None)  # stats discarded, never denormalized
     _check_finite(xn.data, "revin")
 
     x_emb, e_emb = embed(xn, en, params, training, rng)

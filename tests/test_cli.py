@@ -25,7 +25,7 @@ from xlinear import model as mdl
 from xlinear.config import RunConfig, load_run_config
 from xlinear.errors import ConfigError
 
-from synthetic_series import lagged_sine_series, write_synthetic_csv
+from synthetic_series import lagged_sine_series, write_csv, write_synthetic_csv
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -373,6 +373,23 @@ class TestMultivariate:
         assert [r.split(",")[0] for r in rows] == ["glob_a", "glob_b", "glob_c"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_one_column_csv_has_no_exogenous_channel(tmp_path, capsys):
+    """C = 0: the lone column is the endogenous target and nothing else feeds the VGM."""
+    x, _ = lagged_sine_series(400)
+    csv_path = write_csv(tmp_path / "series.csv", ("y",), ([v] for v in x))
+    dropout = dict.fromkeys(("embed_dropout", "t_dropout", "c_dropout", "head_dropout"), 0.1)
+    cfg_path = make_config(tmp_path, csv_path, model=dropout, train={"max_epochs": 1})
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    checkpoint = tmp_path / "run" / cli.CHECKPOINT_NAME
+    assert ck.load_checkpoint(checkpoint).meta["n_exo"] == 0
+    assert cli.main(["predict", "--checkpoint", str(checkpoint), "--input", str(csv_path)]) == 0
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--split", "test"]) == 0
+    lines = (tmp_path / "run" / "forecast.csv").read_text().splitlines()
+    assert lines[0] == "step,y" and len(lines) == 5
+    assert np.isfinite([float(ln.split(",")[1]) for ln in lines[1:]]).all()
+
+
 class TestErrors:
     def test_config_problems_all_named(self, tmp_path, capsys):
         cfg = {
@@ -584,6 +601,15 @@ class TestErrors:
         assert cli.main(["train", "--config", str(cfg_path), *flags]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error[config]:") and key in err[0], err
+
+    def test_lookback_one_rejected_before_the_out_dir_is_made(self, tmp_path, capsys):
+        # RevIN's per-window std needs two points; a readable CSV shows the check comes first
+        csv_path = write_synthetic_csv(tmp_path / "series.csv", n_rows=400)
+        cfg_path = make_config(tmp_path, csv_path, model={"lookback": 1})
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error[config]: lookback must be >= 2, got 1"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_non_utf8_csv_one_data_line(self, trained, tmp_path, capsys, command):

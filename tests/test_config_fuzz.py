@@ -64,7 +64,7 @@ OUT_OF_RANGE = {
     ("train", "patience"): st.integers(max_value=0),
     ("train", "seed"): st.integers(max_value=-1),
     ("model", "horizon"): st.integers(max_value=0),
-    ("model", "lookback"): st.integers(max_value=0),
+    ("model", "lookback"): st.just(1) | st.integers(max_value=1),  # 1: an open draw misses it
     ("model", "d_model"): st.integers(max_value=0),
     ("model", "embed_dropout"): NEG | st.floats(min_value=1.0) | NAN,
     ("model", "head_dropout"): NEG | st.floats(min_value=1.0) | NAN,

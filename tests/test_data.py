@@ -38,7 +38,6 @@ class TestLoadCsv:
         assert ds.n_endo == ds.n_exo == 3
         assert ds.variable_names == ("a", "b", "c")
         assert ds.values.shape == (40, 3)
-        assert len(ds.timestamps) == 40
 
     def test_last_column_mode(self, toy_csv):
         ds = dio.load_csv(toy_csv, "last-column-endogenous")
@@ -51,7 +50,6 @@ class TestLoadCsv:
     def test_headers_without_date_column(self, tmp_path):
         p = write_csv(tmp_path / "nodate.csv", "u,v", [[i, i * 2 + 0.5] for i in range(9)])
         ds = dio.load_csv(p, "multivariate")
-        assert ds.timestamps is None
         assert ds.values.shape == (9, 2)
 
     def test_missing_file(self, tmp_path):
@@ -98,9 +96,9 @@ class TestLoadCsv:
     def test_bom_is_not_part_of_the_first_name(self, toy_csv, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes())
-        names, values, stamps = dio.read_csv_values(toy_csv)
-        b_names, b_values, b_stamps = dio.read_csv_values(bom)
-        assert (b_names, b_stamps) == (names, stamps) and names == ("a", "b", "c")
+        names, values = dio.read_csv_values(toy_csv)
+        b_names, b_values = dio.read_csv_values(bom)
+        assert b_names == names == ("a", "b", "c")
         assert b_values.tobytes() == values.tobytes()
 
     def test_non_utf8_byte_names_path_and_line(self, tmp_path):
@@ -116,7 +114,7 @@ class TestLoadCsv:
                                   for line in toy_csv.read_text().splitlines()))
         assert dio._parse_plain(quoted.read_text(), 25, "date") is None
         got = dio.read_csv_values(quoted, limit_rows=25)
-        assert got[0] == expected[0] and got[2] == expected[2]
+        assert got[0] == expected[0]
         assert got[1].tobytes() == expected[1].tobytes()
 
         def no_scan(*args):
@@ -143,28 +141,28 @@ class TestSplitAndScale:
             rng.normal(loc=5.0, scale=2.0, size=(n, v)), "multivariate")
 
     def test_ratio_bounds(self):
-        ds = dio.split_and_scale(self.make(100), (0.7, 0.1, 0.2))
+        ds = dio.split_and_scale(self.make(100), (0.7, 0.1, 0.2), 2, 1)
         assert ds.split_bounds == ((0, 70), (70, 80), (80, 100))
 
     def test_ett_style_bounds(self):
-        ds = dio.split_and_scale(self.make(14400), (0.6, 0.2, 0.2))
+        ds = dio.split_and_scale(self.make(14400), (0.6, 0.2, 0.2), 2, 1)
         assert ds.split_bounds == ((0, 8640), (8640, 11520), (11520, 14400))
 
     def test_train_split_standardized(self):
-        ds = dio.split_and_scale(self.make(200), (0.7, 0.1, 0.2))
+        ds = dio.split_and_scale(self.make(200), (0.7, 0.1, 0.2), 2, 1)
         train = ds.values[:140]
         np.testing.assert_allclose(train.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(train.std(axis=0), 1.0, atol=1e-9)
 
     def test_no_leakage_scaler_from_train_only(self):
         base = self.make(200, seed=3)
-        ds = dio.split_and_scale(base, (0.7, 0.1, 0.2))
+        ds = dio.split_and_scale(base, (0.7, 0.1, 0.2), 2, 1)
         np.testing.assert_allclose(ds.scaler_mean, base.values[:140].mean(axis=0))
         np.testing.assert_allclose(ds.scaler_std, base.values[:140].std(axis=0))
 
     def test_inverse_round_trip(self):
         base = self.make(150, seed=4)
-        ds = dio.split_and_scale(base, (0.7, 0.1, 0.2))
+        ds = dio.split_and_scale(base, (0.7, 0.1, 0.2), 2, 1)
         # [rows x vars] -> [1 x vars x rows] forecast layout
         z = ds.values.T[None, :, :]
         back = dio.inverse_scale_forecast(ds, z)
@@ -172,9 +170,9 @@ class TestSplitAndScale:
 
     def test_bad_ratios(self):
         with pytest.raises(ConfigError):
-            dio.split_and_scale(self.make(), (0.5, 0.5))
+            dio.split_and_scale(self.make(), (0.5, 0.5), 2, 1)
         with pytest.raises(ConfigError):
-            dio.split_and_scale(self.make(), (0.8, 0.1, 0.2))
+            dio.split_and_scale(self.make(), (0.8, 0.1, 0.2), 2, 1)
 
     def test_too_short_reports_minimum(self):
         with pytest.raises(DataError, match="L\\+S = 30"):
@@ -185,7 +183,7 @@ class TestSplitAndScale:
         vals[:70, 1] = 3.3  # varies only after the train split
         ds = dio.TimeSeriesDataset(("a", "b"), vals, "multivariate")
         with pytest.raises(DataError, match="'b'"):
-            dio.split_and_scale(ds, (0.7, 0.1, 0.2))
+            dio.split_and_scale(ds, (0.7, 0.1, 0.2), 2, 1)
 
     def test_unscaled_dataset_rejects_inverse(self):
         with pytest.raises(UsageError):
@@ -356,10 +354,10 @@ def csv_text(draw):
 def _outcome(read):
     """A reader's result with values as bytes, or the message of its DataError."""
     try:
-        names, values, stamps = read()
+        names, values = read()
     except DataError as e:
         return str(e)
-    return names, values.dtype, values.shape, values.tobytes(), stamps
+    return names, values.dtype, values.shape, values.tobytes()
 
 
 class TestTwoCsvPaths:
