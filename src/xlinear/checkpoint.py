@@ -5,9 +5,8 @@ header (format version, resolved run config, tensor shape table, scaler
 statistics, best-epoch metadata), then one length-prefixed block of raw
 little-endian float64 values per tensor, in shape-table order. JSON keys
 are sorted and floats round-trip via repr, so identical state produces
-byte-identical files. Version 2 stores only the M global-token columns of an
-elementwise gate's ``vgm_w2``/``vgm_b2``; version 1 stored all C+M and loads
-without the C exogenous ones, which such a gate never trained.
+byte-identical files. This build writes and reads format version 2 only;
+a file of any other version is rejected with one IOFault.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from .errors import DimensionError, IOFault
 from .model import ModelConfig, XLinearParams, param_shapes
 
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
 class Checkpoint:
-    version: int
     config: dict  # resolved run config snapshot
     tensors: dict  # name -> float64 array
     scaler: dict  # variable_names, mean, std
@@ -86,9 +83,9 @@ def _check_header(header, path):
     if not isinstance(header, dict):
         raise corrupt(f"a JSON {type(header).__name__}, not an object")
     version = header.get("format_version")
-    if not (_is_int(version) and version in READABLE_VERSIONS):
+    if not (_is_int(version) and version == FORMAT_VERSION):
         raise IOFault(f"unsupported checkpoint format version {version!r}, "
-                      f"this build reads versions {READABLE_VERSIONS}")
+                      f"this build reads version {FORMAT_VERSION}")
     if not all(isinstance(header.get(k), dict) for k in ("config", "scaler", "meta")):
         raise corrupt("config, scaler and meta must be objects")
     if not all(_is_int(header["meta"].get(k)) for k in ("n_endo", "n_exo")):
@@ -110,7 +107,7 @@ def load_checkpoint(path) -> Checkpoint:
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
         try:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as e:
+        except (ValueError, UnicodeDecodeError, RecursionError) as e:
             raise IOFault(f"corrupt checkpoint header in {path}: {e}") from e
         _check_header(header, path)
         tensors = {}
@@ -125,21 +122,15 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):
             raise IOFault(f"trailing bytes after last tensor in {path}")
-    return Checkpoint(version=header["format_version"], config=header["config"],
-                      tensors=tensors, scaler=header["scaler"], meta=header["meta"])
+    return Checkpoint(config=header["config"], tensors=tensors, scaler=header["scaler"],
+                      meta=header["meta"])
 
 
 def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
     """Rebuild parameters, insisting the stored shape table matches the
     shapes the config derives."""
-    expected = param_shapes(cfg.validate())
-    tensors = dict(ckpt.tensors)
-    if ckpt.version == 1:  # all C+M columns of vgm_w2/vgm_b2; keep those the config reads
-        for name in ("vgm_w2", "vgm_b2"):
-            a = tensors.get(name)
-            if a is not None and a.shape[-1:] == (cfg.n_exo + cfg.n_endo,):
-                tensors[name] = a[..., a.shape[-1] - expected["vgm_b2"][0]:]
-    stored = {n: a.shape for n, a in tensors.items()}
+    expected = param_shapes(cfg)
+    stored = {n: a.shape for n, a in ckpt.tensors.items()}
     if expected.keys() != stored.keys():
         missing = sorted(expected.keys() - stored.keys())
         extra = sorted(stored.keys() - expected.keys())
@@ -150,4 +141,4 @@ def params_from_checkpoint(ckpt: Checkpoint, cfg: ModelConfig) -> XLinearParams:
            for n in sorted(expected) if stored[n] != expected[n]]
     if bad:
         raise DimensionError("checkpoint shape table mismatch: " + "; ".join(bad))
-    return XLinearParams.from_arrays(cfg, tensors)
+    return XLinearParams.from_arrays(cfg, ckpt.tensors)

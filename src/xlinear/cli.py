@@ -39,7 +39,7 @@ def _load_dataset(run_cfg: RunConfig):
 def _apply_overrides(run_cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         run_cfg = dataclasses.replace(
-            run_cfg, train=dataclasses.replace(run_cfg.train, seed=args.seed).validate())
+            run_cfg, train=dataclasses.replace(run_cfg.train, seed=args.seed))
     if getattr(args, "out_dir", None) is not None:
         run_cfg = dataclasses.replace(run_cfg, out_dir=args.out_dir)
     if getattr(args, "scaled_metrics", None) is not None:

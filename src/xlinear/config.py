@@ -20,7 +20,7 @@ from .model import ModelConfig
 from .training import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     csv_path: str
     target_mode: str = "multivariate"
@@ -28,14 +28,13 @@ class DataConfig:
     limit_rows: int | None = None
     date_column: str = "date"
 
-    def validate(self):
+    def __post_init__(self):
         if self.target_mode not in TARGET_MODES:
             raise ConfigError(
                 f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
         if self.limit_rows is not None and self.limit_rows < 1:
             raise ConfigError(f"limit_rows must be >= 1 or null, got {self.limit_rows}")
         check_split_ratios(self.split_ratios)
-        return self
 
 
 @dataclass
@@ -81,9 +80,9 @@ class RunConfig:
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
         run_cfg = RunConfig(
-            data=DataConfig(**sections["data"]).validate(),
+            data=DataConfig(**sections["data"]),
             model=sections["model"],
-            train=TrainConfig(**sections["train"]).validate(),
+            train=TrainConfig(**sections["train"]),
             out_dir=out_dir,
             **sections["eval"],
         )
@@ -100,7 +99,7 @@ class RunConfig:
         }
 
     def model_config(self, n_endo: int, n_exo: int) -> ModelConfig:
-        return ModelConfig(n_endo=n_endo, n_exo=n_exo, **self.model).validate()
+        return ModelConfig(n_endo=n_endo, n_exo=n_exo, **self.model)
 
 
 def _schema(fields_) -> dict:
@@ -150,6 +149,6 @@ def load_run_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from e
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply to parse
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     return RunConfig.from_dict(raw)

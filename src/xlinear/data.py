@@ -137,7 +137,8 @@ def _parse_plain(text: str, limit_rows: int | None, date_column: str):
     if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
         return None
     head, _, body = text.partition("\n")
-    rows = [r for r in body.split("\n", limit_rows or -1)[:limit_rows] if r]  # lines needed only
+    cap = min(limit_rows or -1, len(body))  # split's count must fit a C ssize_t
+    rows = [r for r in body.split("\n", cap)[:limit_rows] if r]  # lines needed only
     if limit_rows and len(rows) < limit_rows:  # a blank line among them, or a short file
         rows = [r for r in body.split("\n") if r][:limit_rows]
     has_date, names = _columns(head.split(","), date_column)

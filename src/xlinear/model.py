@@ -29,9 +29,9 @@ ABLATIONS = ("full", "endo_only", "global_only")
 REVIN_EPS = 1e-5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; M and C come from the dataset."""
+    """Architecture hyperparameters; M and C come from the dataset. Checked when built."""
 
     horizon: int
     n_endo: int
@@ -49,7 +49,7 @@ class ModelConfig:
     revin_affine: bool = True
     share_embedding: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("horizon", "n_endo", "d_model", "t_ff", "c_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -66,7 +66,6 @@ class ModelConfig:
                 f"gate_activation must be one of {GATE_ACTIVATIONS}, got {self.gate_activation!r}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        return self
 
 
 def param_shapes(cfg: ModelConfig) -> dict:
@@ -113,7 +112,6 @@ class XLinearParams:
     """All learnable tensors, with a stable naming for checkpoints."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        cfg.validate()
         self._wrap(cfg, {name: _init_array(name, shape, rng, cfg.n_exo + cfg.n_endo)
                          for name, shape in param_shapes(cfg).items()})
 
@@ -121,7 +119,7 @@ class XLinearParams:
     def from_arrays(cls, cfg: ModelConfig, arrays: dict) -> XLinearParams:
         """Wrap ``arrays`` (name -> array of its :func:`param_shapes` shape) without a copy."""
         params = cls.__new__(cls)
-        params._wrap(cfg.validate(), arrays)
+        params._wrap(cfg, arrays)
         return params
 
     def _wrap(self, cfg: ModelConfig, arrays: dict):

@@ -25,7 +25,7 @@ from .tensor import DropoutMasks, Tape, Tensor, backward, record, tsum
 STEP_BLOCK_FLOATS = 1 << 19  # hidden floats per training sub-batch: 4 MB
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr_init: float = 1e-4
     batch_size: int = 32
@@ -36,7 +36,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("lr_init", "eps"):
             v = getattr(self, name)
             if not v > 0:  # NaN fails too
@@ -54,7 +54,6 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        return self
 
 
 def mse_loss(yhat: Tensor, y: Tensor, count: int | None = None) -> Tensor:
@@ -217,8 +216,6 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
     validation loss has not improved for ``patience`` consecutive epochs,
     or at ``max_epochs``.
     """
-    model_cfg.validate()
-    train_cfg.validate()
     L, S = model_cfg.lookback, model_cfg.horizon
     init_rng, shuffle_rng, dropout_rng = np.random.default_rng(train_cfg.seed).spawn(3)
     params = mdl.XLinearParams(model_cfg, init_rng)

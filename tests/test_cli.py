@@ -2,6 +2,7 @@
 JSON config layer, exit codes, and the error-line contract."""
 
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -22,8 +23,9 @@ from xlinear import cli
 from xlinear import data as dio
 from xlinear import metrics as mx
 from xlinear import model as mdl
-from xlinear.config import RunConfig, load_run_config
+from xlinear.config import DataConfig, RunConfig, load_run_config
 from xlinear.errors import ConfigError
+from xlinear.training import TrainConfig
 
 from synthetic_series import lagged_sine_series, write_csv, write_synthetic_csv
 
@@ -141,6 +143,16 @@ class TestTrain:
                trained["checkpoint"].read_bytes()
         echoed = json.loads((tmp_path / "s2" / cli.RESOLVED_NAME).read_text())
         assert echoed["train"]["seed"] == 78
+
+    def test_limit_rows_past_ssize_t_is_every_row(self, trained, tmp_path):
+        """A ``limit_rows`` too large for a C ssize_t trains and scores on every row."""
+        cfg_path = make_config(tmp_path, trained["csv"], data={"limit_rows": 2 ** 63})
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "run" / cli.CHECKPOINT_NAME
+        got = ck.load_checkpoint(path).tensors
+        want = ck.load_checkpoint(trained["checkpoint"]).tensors
+        assert all(np.array_equal(got[name], a) for name, a in want.items())
+        assert cli.main(["eval", "--checkpoint", str(path)]) == 0
 
     def test_checkpoint_meta(self, trained):
         ckpt = ck.load_checkpoint(trained["checkpoint"])
@@ -411,6 +423,22 @@ class TestErrors:
         path.write_text("{nope")
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "error[config]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_deeply_nested_json_one_error_line(self, tmp_path, capsys, command):
+        """JSON nested past the parser's recursion limit, as a config or as a checkpoint
+        header, is one error line, not a traceback."""
+        deep = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "deep"
+        if command == "train":
+            path.write_bytes(deep)
+            argv, code = ["train", "--config", str(path)], "config"
+        else:
+            path.write_bytes(struct.pack("<Q", len(deep)) + deep)
+            argv, code = ["eval", "--checkpoint", str(path)], "io"
+        assert cli.main(argv) == EXIT_CODES[code]
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error[{code}]: ")
 
     def test_missing_dataset_file(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, tmp_path / "absent.csv")
@@ -746,6 +774,22 @@ class TestRunConfigLayer:
             RunConfig.from_dict({"data": {"csv_path": "d.csv"},
                                  "model": {"horizon": 8},
                                  "optimizer": {}})
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda **kw: mdl.ModelConfig(horizon=8, n_endo=1, n_exo=0, **kw), "d_model"),
+        (TrainConfig, "batch_size"),
+        (lambda **kw: DataConfig(csv_path="d.csv", **kw), "limit_rows"),
+    ], ids=["model", "train", "data"])
+    def test_configs_are_valid_by_construction(self, make, field):
+        """An out-of-range field fails when the object is built, also by
+        ``dataclasses.replace``, and no field can be assigned afterwards."""
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            make(**{field: 0})
+        cfg = make()
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            dataclasses.replace(cfg, **{field: 0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, 0)
 
     def test_model_config_carries_dataset_shape(self):
         rc = RunConfig.from_dict({"data": {"csv_path": "d.csv"},

@@ -59,10 +59,10 @@ OUT_OF_RANGE = {
     ("train", "eps"): st.floats(max_value=0.0) | NAN | st.just(math.inf),
     ("train", "beta1"): NEG | st.floats(min_value=1.0) | NAN,
     ("train", "beta2"): NEG | st.floats(min_value=1.0) | NAN,
-    ("train", "batch_size"): st.integers(max_value=0),
-    ("train", "max_epochs"): st.integers(max_value=0),
-    ("train", "patience"): st.integers(max_value=0),
-    ("train", "seed"): st.integers(max_value=-1),
+    ("train", "batch_size"): st.just(0) | st.integers(max_value=0),
+    ("train", "max_epochs"): st.just(0) | st.integers(max_value=0),
+    ("train", "patience"): st.just(0) | st.integers(max_value=0),
+    ("train", "seed"): st.just(-1) | st.integers(max_value=-1),
     ("model", "horizon"): st.integers(max_value=0),
     ("model", "lookback"): st.just(1) | st.integers(max_value=1),  # 1: an open draw misses it
     ("model", "d_model"): st.integers(max_value=0),

@@ -32,6 +32,15 @@ def toy_csv(tmp_path):
     return write_csv(tmp_path / "toy.csv", "date,a,b,c", rows)
 
 
+@pytest.fixture
+def quoted_csv(toy_csv, tmp_path):
+    """``toy_csv`` with every cell quoted, which only the ``csv`` scan reads."""
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + "\n"
+                              for line in toy_csv.read_text().splitlines()))
+    return quoted
+
+
 class TestLoadCsv:
     def test_multivariate_counts(self, toy_csv):
         ds = dio.load_csv(toy_csv, "multivariate")
@@ -93,6 +102,14 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="limit_rows must be at least 1"):
             dio.read_csv_values(toy_csv, limit_rows=limit)
 
+    @pytest.mark.parametrize("which", ["plain", "quoted"])
+    def test_limit_rows_past_ssize_t_keeps_every_row(self, toy_csv, quoted_csv, which):
+        """A limit too large for a C ssize_t reads the whole file on either parse path."""
+        path = toy_csv if which == "plain" else quoted_csv
+        names, values = dio.read_csv_values(path)
+        got_names, got_values = dio.read_csv_values(path, 2 ** 63)
+        assert got_names == names and got_values.tobytes() == values.tobytes()
+
     def test_bom_is_not_part_of_the_first_name(self, toy_csv, tmp_path):
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes())
@@ -107,13 +124,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"^{re.escape(str(p))}, line 3: not UTF-8 text"):
             dio.read_csv_values(p)
 
-    def test_plain_file_skips_the_scan_quoted_file_takes_it(self, toy_csv, tmp_path, monkeypatch):
+    def test_plain_file_skips_the_scan_quoted_file_takes_it(self, toy_csv, quoted_csv,
+                                                            monkeypatch):
         expected = dio.read_csv_values(toy_csv, limit_rows=25)
-        quoted = tmp_path / "quoted.csv"
-        quoted.write_text("".join(",".join(f'"{c}"' for c in line.split(",")) + "\n"
-                                  for line in toy_csv.read_text().splitlines()))
-        assert dio._parse_plain(quoted.read_text(), 25, "date") is None
-        got = dio.read_csv_values(quoted, limit_rows=25)
+        assert dio._parse_plain(quoted_csv.read_text(), 25, "date") is None
+        got = dio.read_csv_values(quoted_csv, limit_rows=25)
         assert got[0] == expected[0]
         assert got[1].tobytes() == expected[1].tobytes()
 

@@ -2,6 +2,7 @@
 forward composition, ablations, and the gating-weight export."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ def tiny_cfg(**over):
     base = dict(horizon=4, n_endo=2, n_exo=3, lookback=8, d_model=6, t_ff=8, c_ff=8,
                 embed_dropout=0.0, t_dropout=0.0, c_dropout=0.0, head_dropout=0.0)
     base.update(over)
-    return mdl.ModelConfig(**base).validate()
+    return mdl.ModelConfig(**base)
 
 
 def make_params(cfg, seed=0):
@@ -550,7 +551,7 @@ class TestForward:
         taped one, relative to each output's largest magnitude: the gap is a few ulp, and a
         forecast entry near zero differs by more than 1e-15 of itself."""
         cfg = mdl.ModelConfig(horizon=96, n_endo=7, n_exo=7, d_model=256, t_ff=512,
-                              c_ff=512).validate()
+                              c_ff=512)
         p = make_params(cfg, seed=26)
         b = make_batch(cfg, n=5, seed=27)
         y_eval, trace_eval = mdl.forward(b, p, training=False)
@@ -571,7 +572,7 @@ class TestExport:
         _, trace = mdl.forward(make_batch(cfg), p, training=False)
         t_path, v_path = mdl.export_gating_weights(trace, tmp_path)
         for path in (t_path, v_path):
-            lines = open(path).read().strip().split("\n")
+            lines = Path(path).read_text().strip().split("\n")
             for line in lines[1:]:
                 vals = [float(v) for v in line.split(",")[1:]]
                 assert all(v == 0.5 for v in vals)
@@ -581,7 +582,7 @@ class TestExport:
         p = make_params(cfg, seed=24)
         _, trace = mdl.forward(make_batch(cfg), p, training=False)
         _, v_path = mdl.export_gating_weights(trace, tmp_path, endo_names=["y1", "y2"])
-        lines = open(v_path).read().strip().split("\n")
+        lines = Path(v_path).read_text().strip().split("\n")
         assert len(lines) == 1 + cfg.n_endo
         assert lines[0] == "label," + ",".join(f"pos_{i}" for i in range(cfg.d_model))
         assert [ln.split(",")[0] for ln in lines[1:]] == ["glob_y1", "glob_y2"]
@@ -600,5 +601,5 @@ class TestExport:
         b = tmp_path / "b"
         t1, v1 = mdl.export_gating_weights(trace, a)
         t2, v2 = mdl.export_gating_weights(trace, b)
-        assert open(t1, "rb").read() == open(t2, "rb").read()
-        assert open(v1, "rb").read() == open(v2, "rb").read()
+        assert Path(t1).read_bytes() == Path(t2).read_bytes()
+        assert Path(v1).read_bytes() == Path(v2).read_bytes()

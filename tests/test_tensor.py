@@ -182,7 +182,7 @@ class TestMatmul:
         """Leaf grads are writable arrays that share memory with no other leaf's grad or
         data; a grad may view a buffer only its own pull made. zero_grad drops them."""
         cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4, t_ff=5,
-                              c_ff=5, share_embedding=True).validate()
+                              c_ff=5, share_embedding=True)
         params = mdl.XLinearParams(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         batch = dio.WindowBatch(endo_history=rng.normal(size=(3, 2, 6)),

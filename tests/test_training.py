@@ -159,7 +159,7 @@ class TestAdamStep:
         ``p - lr*(m/bc1)/(sqrt(v/bc2) + eps)`` bit for bit over three steps, with a
         transposed (non-contiguous) gradient and a parameter no pull reached."""
         cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4,
-                              t_ff=5, c_ff=5).validate()
+                              t_ff=5, c_ff=5)
         tcfg = tr.TrainConfig(beta1=0.85, beta2=0.995, eps=1e-7)
         params = mdl.XLinearParams(cfg, np.random.default_rng(0))
         state = tr.AdamState(params)
@@ -207,7 +207,7 @@ class TestAdamStep:
 
     def test_step_counter_shared_across_parameters(self):
         cfg = mdl.ModelConfig(horizon=2, n_endo=1, n_exo=1, lookback=4, d_model=4,
-                              t_ff=4, c_ff=4).validate()
+                              t_ff=4, c_ff=4)
         params = mdl.XLinearParams(cfg, np.random.default_rng(0))
         state = tr.AdamState(params)
         tr.adam_step(params, state, 0.01, tr.TrainConfig())
@@ -405,7 +405,7 @@ def sub_batch_case(tmp_path, target_mode, n=30, **model):
     ds = dio.load_csv(write_synthetic_csv(tmp_path / "series.csv", n_rows=400), target_mode)
     ds = dio.split_and_scale(ds, (0.7, 0.1, 0.2), lookback=16, horizon=4)
     cfg = mdl.ModelConfig(n_endo=ds.n_endo, n_exo=ds.n_exo,
-                          **{**SUB_BATCH_MODEL, **model}).validate()
+                          **{**SUB_BATCH_MODEL, **model})
     batch = next(dio.iter_batches(ds, "train", 16, 4, n))
     return cfg, mdl.XLinearParams(cfg, np.random.default_rng(3)), batch
 
@@ -552,7 +552,7 @@ class TestSubBatches:
         buffer in forward or backward gives 4.0 and 6.1, and a hidden layer built as a
         ``mul`` by a float scale 6.0 and 8.4."""
         cfg = mdl.ModelConfig(n_endo=n_endo, n_exo=n_exo, lookback=96, horizon=96, d_model=128,
-                              t_ff=256, c_ff=128).validate()
+                              t_ff=256, c_ff=128)
         n = tr.sub_batch_windows(cfg)
         assert n == 32
         params = mdl.XLinearParams(cfg, np.random.default_rng(30))
@@ -613,7 +613,7 @@ class TestValidationLoss:
         ds = dio.load_csv(write_synthetic_csv(tmp_path / "series.csv", n_rows=1000), target_mode)
         ds = dio.split_and_scale(ds, (0.7, 0.1, 0.2), lookback=16, horizon=4)
         assert dio.n_windows(ds, "val", 16, 4) > mx.EVAL_BATCH  # the sum spans batches
-        cfg = mdl.ModelConfig(n_endo=ds.n_endo, n_exo=ds.n_exo, **SUB_BATCH_MODEL).validate()
+        cfg = mdl.ModelConfig(n_endo=ds.n_endo, n_exo=ds.n_exo, **SUB_BATCH_MODEL)
         assert min(cfg.embed_dropout, cfg.t_dropout, cfg.c_dropout, cfg.head_dropout) > 0
         scored, real_pooled_mse = [], mx.pooled_mse
 
