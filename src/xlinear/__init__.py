@@ -7,7 +7,7 @@ from .errors import ConfigError, DataError, DimensionError, IOFault, \
     MetricUndefinedError, NumericFault, UsageError, XLinearError
 from .metrics import MetricsReport, evaluate, kge, mape, mse_mae, nse
 from .model import ForwardTrace, ModelConfig, XLinearParams, export_gating_weights, \
-    forward, parameter_count, predictor
+    forward, predictor
 from .tensor import Tape, Tensor, backward, grad_check, record
 from .training import AdamState, TrainConfig, TrainLog, adam_step, lr_schedule, \
     mse_loss, train
@@ -21,6 +21,6 @@ __all__ = [
     "TrainLog", "UsageError", "WindowBatch", "XLinearError", "XLinearParams",
     "adam_step", "backward", "evaluate", "export_gating_weights", "forward",
     "grad_check", "inverse_scale_forecast", "iter_batches", "kge", "load_csv",
-    "lr_schedule", "mape", "mse_loss", "mse_mae", "nse", "parameter_count",
-    "predictor", "record", "split_and_scale", "train",
+    "lr_schedule", "mape", "mse_loss", "mse_mae", "nse", "predictor", "record",
+    "split_and_scale", "train",
 ]

@@ -264,14 +264,20 @@ def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int, horizon: int) 
                 f"at least L+S = {need}")
 
     train = ds.values[:bounds[0][1]]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)  # population divisor; consistent with inverse
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)  # population divisor; consistent with inverse
     # min==max catches constant train columns whose std is roundoff, not 0
     flat = [ds.variable_names[j] for j in range(ds.n_variables)
             if std[j] == 0.0 or train[:, j].min() == train[:, j].max()]
     if flat:
         raise DataError("constant train-split column(s) "
                         f"{', '.join(repr(c) for c in flat)}; scaler std would be zero")
+    finite = np.isfinite(mean) & np.isfinite(std)
+    huge = [repr(c) for c, ok in zip(ds.variable_names, finite) if not ok]
+    if huge:
+        raise DataError(f"train-split column(s) {', '.join(huge)} overflow float64: "
+                        "the scaler's mean or std is not finite")
     return replace(ds, values=(ds.values - mean) / std,
                    scaler_mean=mean, scaler_std=std, split_bounds=bounds)
 

@@ -1,7 +1,7 @@
 """The XLinear forecasting network.
 
-Pipeline: per-window reversible instance normalization, joint linear
-embedding of endogenous and exogenous histories, learnable global tokens
+Pipeline: per-window reversible instance normalization, separate linear
+embeddings of endogenous and exogenous histories, learnable global tokens
 concatenated onto the endogenous embedding, a time-wise gating module
 (TGM) mixing along the embedding axis, a variate-wise gating module
 (VGM) mixing along the channel axis of stacked exogenous embeddings and
@@ -12,7 +12,6 @@ the gated tensor elementwise.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -46,8 +45,6 @@ class ModelConfig:
     head_dropout: float = 0.1
     gate_activation: str = "sigmoid"
     ablation: str = "full"
-    revin_affine: bool = True
-    share_embedding: bool = False
 
     def __post_init__(self):
         for name in ("horizon", "n_endo", "d_model", "t_ff", "c_ff"):
@@ -69,29 +66,18 @@ class ModelConfig:
 
 
 def param_shapes(cfg: ModelConfig) -> dict:
-    """Shape of every learnable tensor by name, in checkpoint and init-draw order. A shared
-    embedding has no ``embed_exo_*`` entries and RevIN without affine no ``revin_*``. The
+    """Shape of every learnable tensor by name, in checkpoint and init-draw order. The
     VGM's second layer has a column per gate row the forecast reads: M for an elementwise
     gate, C+M for softmax, whose normalizer spans every channel."""
     L, S, M, C, d = cfg.lookback, cfg.horizon, cfg.n_endo, cfg.n_exo, cfg.d_model
     gates = C + M if cfg.gate_activation == "softmax" else M
-    shapes = {"embed_endo_w": (L, d), "embed_endo_b": (d,)}
-    if not cfg.share_embedding:
-        shapes.update(embed_exo_w=(L, d), embed_exo_b=(d,))
-    shapes.update(global_tokens=(M, d),
-                  tgm_w1=(2 * d, cfg.t_ff), tgm_b1=(cfg.t_ff,),
-                  tgm_w2=(cfg.t_ff, 2 * d), tgm_b2=(2 * d,),
-                  vgm_w1=(C + M, cfg.c_ff), vgm_b1=(cfg.c_ff,),
-                  vgm_w2=(cfg.c_ff, gates), vgm_b2=(gates,),
-                  head_w=(2 * d, S), head_b=(S,))
-    if cfg.revin_affine:
-        shapes.update(revin_gamma=(M,), revin_beta=(M,))
-    return shapes
-
-
-def parameter_count(cfg: ModelConfig) -> int:
-    """Size of the learnable parameter set."""
-    return sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    return {"embed_endo_w": (L, d), "embed_endo_b": (d,),
+            "embed_exo_w": (L, d), "embed_exo_b": (d,), "global_tokens": (M, d),
+            "tgm_w1": (2 * d, cfg.t_ff), "tgm_b1": (cfg.t_ff,),
+            "tgm_w2": (cfg.t_ff, 2 * d), "tgm_b2": (2 * d,),
+            "vgm_w1": (C + M, cfg.c_ff), "vgm_b1": (cfg.c_ff,),
+            "vgm_w2": (cfg.c_ff, gates), "vgm_b2": (gates,),
+            "head_w": (2 * d, S), "head_b": (S,), "revin_gamma": (M,), "revin_beta": (M,)}
 
 
 def _init_array(name: str, shape: tuple, rng: np.random.Generator, n_channels: int) -> np.ndarray:
@@ -112,8 +98,12 @@ class XLinearParams:
     """All learnable tensors, with a stable naming for checkpoints."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        self._wrap(cfg, {name: _init_array(name, shape, rng, cfg.n_exo + cfg.n_endo)
-                         for name, shape in param_shapes(cfg).items()})
+        try:
+            arrays = {name: _init_array(name, shape, rng, cfg.n_exo + cfg.n_endo)
+                      for name, shape in param_shapes(cfg).items()}
+        except (MemoryError, ValueError) as e:  # numpy's "too big" and "cannot allocate"
+            raise ConfigError(f"model too large to allocate: {e}") from e
+        self._wrap(cfg, arrays)
 
     @classmethod
     def from_arrays(cls, cfg: ModelConfig, arrays: dict) -> XLinearParams:
@@ -127,11 +117,9 @@ class XLinearParams:
         self._names = tuple(param_shapes(cfg))
         for name in self._names:
             setattr(self, name, Tensor(arrays[name], requires_grad=True))
-        if cfg.share_embedding:
-            self.embed_exo_w, self.embed_exo_b = self.embed_endo_w, self.embed_endo_b
 
     def named(self):
-        """(name, tensor) pairs in checkpoint order, each tensor once."""
+        """(name, tensor) pairs in checkpoint order."""
         return [(name, getattr(self, name)) for name in self._names]
 
     def all(self):
@@ -299,7 +287,7 @@ def forward(batch, params: XLinearParams, training: bool = False,
     _check_finite(x_raw.data, "input")
     _check_finite(e_raw.data, "input")
 
-    affine = (params.revin_gamma, params.revin_beta) if cfg.revin_affine else None
+    affine = (params.revin_gamma, params.revin_beta)
     xn, stats = revin_normalize(x_raw, affine)
     en, _ = revin_normalize(e_raw, None)  # stats discarded, never denormalized
     _check_finite(xn.data, "revin")

@@ -23,6 +23,7 @@ from .errors import ConfigError, DimensionError, NumericFault
 from .tensor import DropoutMasks, Tape, Tensor, backward, record, tsum
 
 STEP_BLOCK_FLOATS = 1 << 19  # hidden floats per training sub-batch: 4 MB
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,12 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 3
     seed: int = 2025
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lr_init", "eps"):
-            v = getattr(self, name)
-            if not v > 0:  # NaN fails too
-                raise ConfigError(f"{name} must be > 0, got {v}")
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
+        if not self.lr_init > 0:  # NaN fails too
+            raise ConfigError(f"lr_init must be > 0, got {self.lr_init}")
+        if not math.isfinite(self.lr_init):
+            raise ConfigError(f"lr_init must be finite, got {self.lr_init}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -51,9 +47,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def mse_loss(yhat: Tensor, y: Tensor, count: int | None = None) -> Tensor:
@@ -87,7 +80,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: TrainConfig):
+def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float):
     """One bias-corrected Adam update from the accumulated grads; grads
     are zeroed afterwards. A parameter no pull reached (``grad`` None) has a zero
     gradient: its moments still decay.
@@ -96,23 +89,23 @@ def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float, cfg: Train
     parameter, one operation at a time in that order, so it has the bits of the expression.
     """
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.named():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        v *= cfg.beta2
+        m *= ADAM_BETA1
+        v *= ADAM_BETA2
         den = np.empty_like(v)
         if g is not None:
-            m += np.multiply(g, 1.0 - cfg.beta1, out=den)
-            np.multiply(g, 1.0 - cfg.beta2, out=den)
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=den)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=den)
             den *= g
             v += den
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += cfg.eps
+        den += ADAM_EPS
         upd = np.divide(m, bc1)
         upd *= lr
         upd /= den
@@ -236,7 +229,7 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
                 loss_val = accumulate_gradients(params, batch, dropout_rng)
             except NumericFault as ex:
                 raise NumericFault(f"{ex} (epoch {e}, batch {bi})") from ex
-            adam_step(params, state, lr, train_cfg)
+            adam_step(params, state, lr)
             total += loss_val * len(batch)
             count += len(batch)
         train_loss = total / count

@@ -10,14 +10,12 @@ batch 128, max 10 epochs, patience 3, seed 2025.
 """
 
 import json
-import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from xlinear import checkpoint as ck
 from xlinear import cli
 from xlinear import data as dio
 from xlinear import metrics as mx
@@ -91,7 +89,7 @@ def test_criterion_1_gradient_correctness(capsys):
     t0 = time.perf_counter()
     cfg = mdl.ModelConfig(horizon=4, n_endo=2, n_exo=3, lookback=8, d_model=6,
                           t_ff=8, c_ff=8, embed_dropout=0.0, t_dropout=0.0,
-                          c_dropout=0.0, head_dropout=0.0, revin_affine=True)
+                          c_dropout=0.0, head_dropout=0.0)
     params = mdl.XLinearParams(cfg, np.random.default_rng(20))
     rng = np.random.default_rng(21)
 

@@ -79,19 +79,6 @@ class TestRoundTrip:
         ck.save_checkpoint(b, make_params(cfg, seed=9), RUN_CFG, SCALER, META)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_shared_embedding_variant_round_trips(self, tmp_path):
-        cfg = small_cfg(share_embedding=True, revin_affine=False)
-        params = make_params(cfg, seed=10)
-        path = tmp_path / "ck.bin"
-        ck.save_checkpoint(path, params, RUN_CFG, SCALER, META)
-        loaded = ck.load_checkpoint(path)
-        names = {n for n, _ in params.named()}
-        assert set(loaded.tensors) == names
-        assert "embed_exo_w" not in names
-        assert "revin_gamma" not in names
-        rebuilt = ck.params_from_checkpoint(loaded, cfg)
-        assert rebuilt.embed_exo_w is rebuilt.embed_endo_w
-
     def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         cfg = small_cfg()
         path = tmp_path / "ck.bin"
@@ -125,9 +112,10 @@ class TestValidation:
     def test_tensor_set_mismatch(self, tmp_path):
         path = tmp_path / "ck.bin"
         ck.save_checkpoint(path, make_params(small_cfg()), RUN_CFG, SCALER, META)
-        no_affine = small_cfg(revin_affine=False)
-        with pytest.raises(DimensionError, match="unexpected"):
-            ck.params_from_checkpoint(ck.load_checkpoint(path), no_affine)
+        loaded = ck.load_checkpoint(path)
+        del loaded.tensors["revin_beta"]
+        with pytest.raises(DimensionError, match=r"missing \['revin_beta'\], unexpected \[\]"):
+            ck.params_from_checkpoint(loaded, small_cfg())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOFault, match="cannot open"):

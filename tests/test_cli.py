@@ -510,15 +510,13 @@ class TestErrors:
         ("config", {"train": {"lr_init": float("nan")}}, "lr_init"),
         ("config", {"train": {"lr_init": float("inf")}}, "lr_init"),
         ("config", {"train": {"lr_init": 10 ** 400}}, "lr_init"),
-        ("config", {"train": {"beta1": 1.0}}, "beta1"),
-        ("config", {"train": {"beta2": 1.5}}, "beta2"),
-        ("config", {"train": {"eps": -1.0}}, "eps"),
+        ("config", {"train": {"beta1": 0.9}}, "unknown key(s): train.beta1"),
         ("config", {"data": {"limit_rows": 0}}, "limit_rows"),
         ("config", {"data": {"split_ratios": [float("nan"), 0.5, 0.5]}}, "split ratios"),
         ("checkpoint", {"target_mode": "bogus"}, "target_mode"),
         ("config", {"data": {"bad\nkey": 1}}, "data.bad\\nkey"),
     ], ids=["seed_negative", "seed_flag_negative", "lr_nan", "lr_infinity", "lr_int_too_big",
-            "beta1_one", "beta2_above_one", "eps_negative", "limit_rows_zero",
+            "beta1_unknown_key", "limit_rows_zero",
             "split_ratio_nan", "checkpoint_target_mode", "key_with_line_break"])
     def test_config_fault_one_config_line(self, trained, tmp_path, capsys, where, patch, key):
         if where == "checkpoint":  # the checkpoint's stored config is checked on load too
@@ -638,6 +636,33 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error[config]: lookback must be >= 2, got 1"]
         assert not (tmp_path / "run").exists()
+
+    def test_train_column_whose_scaler_overflows_is_one_data_line(self, tmp_path, capsys):
+        """A column alternating +-1e308 has a finite mean but an infinite std; the scaler
+        is refused before any output, so no checkpoint stores a non-finite std."""
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("date,a,b\n" + "".join(
+            f"2020-01-01,{(-1) ** i * 1e308!r},{i % 7 * 0.5}\n" for i in range(300)))
+        cfg_path = make_config(tmp_path, csv_path, data={"target_mode": "multivariate"})
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: train-split column(s) 'a' overflow float64: "
+            "the scaler's mean or std is not finite"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("model, reason", [
+        ({"t_ff": 2 ** 62}, "array is too big"),
+        ({"c_ff": 10 ** 15}, "Unable to allocate"),
+    ], ids=["t_ff_too_big", "c_ff_unallocatable"])
+    def test_model_too_large_to_allocate_is_one_config_line(self, tmp_path, capsys, model,
+                                                            reason):
+        # both sizes fail at the allocation itself; none is granted and then filled
+        csv_path = write_synthetic_csv(tmp_path / "series.csv", n_rows=400)
+        cfg_path = make_config(tmp_path, csv_path, model=model)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error[config]: model too large to allocate: " + reason)
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_non_utf8_csv_one_data_line(self, trained, tmp_path, capsys, command):

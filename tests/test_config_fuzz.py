@@ -28,11 +28,9 @@ VALID = {
               "t_ff": ("int", 16), "c_ff": ("int", 16), "embed_dropout": ("float", 0.1),
               "t_dropout": ("float", 0.1), "c_dropout": ("float", 0.1),
               "head_dropout": ("float", 0.1), "gate_activation": ("str", "sigmoid"),
-              "ablation": ("str", "full"), "revin_affine": ("bool", True),
-              "share_embedding": ("bool", False)},
+              "ablation": ("str", "full")},
     "train": {"lr_init": ("float", 1e-3), "batch_size": ("int", 8), "max_epochs": ("int", 1),
-              "patience": ("int", 1), "seed": ("int", 3), "beta1": ("float", 0.9),
-              "beta2": ("float", 0.999), "eps": ("float", 1e-8)},
+              "patience": ("int", 1), "seed": ("int", 3)},
     "eval": {"scaled_metrics": ("bool", True)},
 }
 REQUIRED = {("data", "csv_path"), ("model", "horizon")}
@@ -56,9 +54,6 @@ OUT_OF_RANGE = {
     ("data", "limit_rows"): st.integers(max_value=0),
     ("data", "split_ratios"): st.lists(st.floats() | NAN, min_size=3, max_size=3),
     ("train", "lr_init"): st.floats(max_value=0.0) | NAN | st.just(math.inf),
-    ("train", "eps"): st.floats(max_value=0.0) | NAN | st.just(math.inf),
-    ("train", "beta1"): NEG | st.floats(min_value=1.0) | NAN,
-    ("train", "beta2"): NEG | st.floats(min_value=1.0) | NAN,
     ("train", "batch_size"): st.just(0) | st.integers(max_value=0),
     ("train", "max_epochs"): st.just(0) | st.integers(max_value=0),
     ("train", "patience"): st.just(0) | st.integers(max_value=0),

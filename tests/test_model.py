@@ -89,25 +89,24 @@ class TestRevin:
             mdl.revin_denormalize(Tensor(np.ones((2, 3, 4))), stats)
 
 
+def closed_form_count(cfg) -> int:
+    """The parameter count written out layer by layer, independent of ``param_shapes``."""
+    L, S, M, C, d = cfg.lookback, cfg.horizon, cfg.n_endo, cfg.n_exo, cfg.d_model
+    width = C + M if cfg.gate_activation == "softmax" else M
+    return (2 * (L * d + d) + M * d + 2 * (2 * d * cfg.t_ff) + cfg.t_ff + 2 * d
+            + (C + M + 1) * cfg.c_ff + (cfg.c_ff + 1) * width + 2 * d * S + S + 2 * M)
+
+
 class TestParams:
     @pytest.mark.parametrize("cfg", [
         tiny_cfg(),
-        tiny_cfg(horizon=96, n_endo=7, n_exo=7, lookback=96, d_model=32, t_ff=48,
-                 c_ff=24, revin_affine=False),
+        tiny_cfg(horizon=96, n_endo=7, n_exo=7, lookback=96, d_model=32, t_ff=48, c_ff=24),
         tiny_cfg(horizon=12, n_endo=1, n_exo=6, lookback=24, d_model=16, t_ff=64, c_ff=16),
     ])
     def test_count_matches_formula(self, cfg):
-        params = make_params(cfg)
-        assert params.n_parameters() == mdl.parameter_count(cfg)
+        assert make_params(cfg).n_parameters() == closed_form_count(cfg)
 
-    def test_shared_embedding_drops_one_matrix(self):
-        cfg = tiny_cfg(share_embedding=True)
-        params = make_params(cfg)
-        assert params.embed_exo_w is params.embed_endo_w
-        assert params.n_parameters() == mdl.parameter_count(cfg)
-        assert mdl.parameter_count(cfg) == mdl.parameter_count(tiny_cfg()) - (8 + 1) * 6
-
-    @pytest.mark.parametrize("over", [{}, {"share_embedding": True}, {"revin_affine": False}])
+    @pytest.mark.parametrize("over", [{}, {"gate_activation": "softmax"}, {"n_exo": 0}])
     def test_shape_table_lists_every_tensor_in_order(self, over):
         cfg = tiny_cfg(**over)
         named = [(name, t.shape) for name, t in make_params(cfg).named()]
@@ -121,11 +120,7 @@ class TestParams:
         width = n_exo + n_endo if gate == "softmax" else n_endo
         shapes = mdl.param_shapes(cfg)
         assert shapes["vgm_w2"] == (8, width) and shapes["vgm_b2"] == (width,)
-        L, S, d, t_ff, c_ff = 8, 4, 6, 8, 8
-        count = (2 * (L * d + d) + n_endo * d + 2 * (2 * d * t_ff) + t_ff + 2 * d
-                 + (n_exo + n_endo + 1) * c_ff + (c_ff + 1) * width
-                 + 2 * d * S + S + 2 * n_endo)
-        assert mdl.parameter_count(cfg) == count == make_params(cfg).n_parameters()
+        assert make_params(cfg).n_parameters() == closed_form_count(cfg)
 
     @pytest.mark.parametrize("gate", ["sigmoid", "swish", "tanh"])
     def test_pruned_init_keeps_the_global_columns_of_the_full_draw(self, gate):

@@ -35,8 +35,6 @@ VARIANTS = {
        for g in GATE_ACTIVATIONS if g != "sigmoid"},
     **{f"ablation_{a}": ("multivariate", {"ablation": a}) for a in ABLATIONS if a != "full"},
     "last_column_endogenous": ("last-column-endogenous", {}),
-    "share_embedding": ("multivariate", {"share_embedding": True}),
-    "no_revin_affine": ("multivariate", {"revin_affine": False}),
     "no_exogenous": ("last-column-endogenous", {}),
 }
 

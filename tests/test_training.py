@@ -118,7 +118,7 @@ class TestAdamStep:
         state.m = {"theta": np.zeros(1)}
         state.v = {"theta": np.zeros(1)}
         state.t = 0
-        tr.adam_step(p, state, 0.1, tr.TrainConfig())
+        tr.adam_step(p, state, 0.1)
         assert p.theta.data[0] == 1.5
         assert state.m["theta"][0] == 0.0 and state.v["theta"][0] == 0.0
 
@@ -129,16 +129,14 @@ class TestAdamStep:
         state.m = {"theta": np.zeros(1)}
         state.v = {"theta": np.zeros(1)}
         state.t = 0
-        cfg = tr.TrainConfig()
-        tr.adam_step(p, state, 0.01, cfg)
+        tr.adam_step(p, state, 0.01)
         # bias-corrected m-hat = v-hat = 1 at t=1, so the step is lr/(1+eps)
-        assert p.theta.data[0] == pytest.approx(1.0 - 0.01 / (1.0 + cfg.eps), rel=1e-12)
+        assert p.theta.data[0] == pytest.approx(1.0 - 0.01 / (1.0 + tr.ADAM_EPS), rel=1e-12)
         assert state.t == 1
         assert p.theta.grad is None  # grads cleared
 
     def test_missing_gradient_reads_as_zero(self):
         """A leaf no pull reached keeps ``grad`` None; its moments decay as with zeros."""
-        cfg = tr.TrainConfig()
         runs = []
         for grad in (None, np.zeros(1)):
             p = ScalarParams(0.75)
@@ -147,12 +145,12 @@ class TestAdamStep:
             state.v = {"theta": np.array([0.02])}
             state.t = 4
             p.theta.grad = grad
-            tr.adam_step(p, state, 0.01, cfg)
+            tr.adam_step(p, state, 0.01)
             runs.append((p.theta.data.copy(), state.m["theta"].copy(), state.v["theta"].copy()))
             assert p.theta.grad is None
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
-        assert runs[0][1][0] == 0.3 * cfg.beta1 and runs[0][0][0] != 0.75
+        assert runs[0][1][0] == 0.3 * tr.ADAM_BETA1 and runs[0][0][0] != 0.75
 
     def test_three_steps_have_the_bits_of_the_expression(self):
         """The in-place update equals ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g*g`` and
@@ -160,7 +158,6 @@ class TestAdamStep:
         transposed (non-contiguous) gradient and a parameter no pull reached."""
         cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4,
                               t_ff=5, c_ff=5)
-        tcfg = tr.TrainConfig(beta1=0.85, beta2=0.995, eps=1e-7)
         params = mdl.XLinearParams(cfg, np.random.default_rng(0))
         state = tr.AdamState(params)
         ref = {name: p.data.copy() for name, p in params.named()}
@@ -174,16 +171,17 @@ class TestAdamStep:
                 if g is not None and g.ndim == 2:
                     g = np.ascontiguousarray(g.T).T
                 grads[name] = p.grad = g
-            tr.adam_step(params, state, lr, tcfg)
-            bc1, bc2 = 1.0 - tcfg.beta1 ** t, 1.0 - tcfg.beta2 ** t
+            tr.adam_step(params, state, lr)
+            b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for name, p in params.named():
                 g, m, v = grads[name], ref_m[name], ref_v[name]
-                m *= tcfg.beta1
-                v *= tcfg.beta2
+                m *= b1
+                v *= b2
                 if g is not None:
-                    m += (1.0 - tcfg.beta1) * g
-                    v += (1.0 - tcfg.beta2) * g * g
-                ref[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + tcfg.eps)
+                    m += (1.0 - b1) * g
+                    v += (1.0 - b2) * g * g
+                ref[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + tr.ADAM_EPS)
                 assert np.array_equal(p.data, ref[name]), (t, name)
                 assert np.array_equal(state.m[name], m) and np.array_equal(state.v[name], v)
                 assert p.grad is None
@@ -195,11 +193,10 @@ class TestAdamStep:
         state.m = {"theta": np.zeros(1)}
         state.v = {"theta": np.zeros(1)}
         state.t = 0
-        cfg = tr.TrainConfig()
         trajectory = []
         for _ in range(100):
             p.theta.grad = 2.0 * p.theta.data.copy()
-            tr.adam_step(p, state, 0.1, cfg)
+            tr.adam_step(p, state, 0.1)
             trajectory.append(float(p.theta.data[0]))
         assert abs(trajectory[-1]) < 0.05
         expected = adam_oracle(1.0, lambda th: 2.0 * th, 0.1, 100)
@@ -210,9 +207,9 @@ class TestAdamStep:
                               t_ff=4, c_ff=4)
         params = mdl.XLinearParams(cfg, np.random.default_rng(0))
         state = tr.AdamState(params)
-        tr.adam_step(params, state, 0.01, tr.TrainConfig())
+        tr.adam_step(params, state, 0.01)
         assert state.t == 1
-        tr.adam_step(params, state, 0.01, tr.TrainConfig())
+        tr.adam_step(params, state, 0.01)
         assert state.t == 2
 
 
@@ -286,12 +283,12 @@ class TestTrainLoop:
 
         real_step, untouched = tr.adam_step, set()
 
-        def zero_filled_step(params, state, lr, cfg):
+        def zero_filled_step(params, state, lr):
             for name, p in params.named():
                 if p.grad is None:
                     untouched.add(name)
                     p.grad = np.zeros_like(p.data)
-            real_step(params, state, lr, cfg)
+            real_step(params, state, lr)
 
         monkeypatch.setattr(tr, "adam_step", zero_filled_step)
         pb, lb = tr.train(mcfg, tcfg, synth_ds, echo=False)
@@ -537,7 +534,7 @@ class TestSubBatches:
         tracemalloc.start()
         try:
             tr.accumulate_gradients(params, batch, rng)
-            tr.adam_step(params, state, 1e-3, tr.TrainConfig())
+            tr.adam_step(params, state, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
