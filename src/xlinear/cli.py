@@ -8,6 +8,7 @@ exit codes are 0 success, 2 config, 3 data, 4 numeric fault, 5 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -65,14 +66,31 @@ def _meta_dict(cfg, params, log) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _out_dir_for(first_output: str):
+    """Make the directory ``first_output`` goes in before the block trains, so an unwritable
+    one fails first; if the block fails, remove the directory again when this call made it
+    and it is still empty."""
+    out_dir = os.path.dirname(os.path.abspath(first_output))
+    made = not os.path.isdir(out_dir)
+    dio.make_parent_dir(first_output)
+    try:
+        yield
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):  # not empty: keep what was written
+                os.rmdir(out_dir)
+        raise
+
+
 def cmd_train(args) -> int:
     run_cfg = _apply_overrides(load_run_config(args.config), args)
     ds = _load_dataset(run_cfg)
     ckpt_path = os.path.join(run_cfg.out_dir, CHECKPOINT_NAME)
-    dio.make_parent_dir(ckpt_path)
-    cfg, params, log = _train_once(run_cfg, ds)
-    ckpt_io.save_checkpoint(ckpt_path, params, run_cfg.resolved_dict(),
-                            dio.scaler_dict(ds), _meta_dict(cfg, params, log))
+    with _out_dir_for(ckpt_path):
+        cfg, params, log = _train_once(run_cfg, ds)
+        ckpt_io.save_checkpoint(ckpt_path, params, run_cfg.resolved_dict(),
+                                dio.scaler_dict(ds), _meta_dict(cfg, params, log))
     log.to_csv(os.path.join(run_cfg.out_dir, TRAINLOG_NAME))
     with dio.output_file(os.path.join(run_cfg.out_dir, RESOLVED_NAME)) as fh:
         fh.write(json.dumps(run_cfg.resolved_dict(), indent=2, sort_keys=True) + "\n")
@@ -167,25 +185,25 @@ def cmd_ablate(args) -> int:
     variants = _parse_variants(args.variants.split(","), run_cfg.model["gate_activation"])
     ds = _load_dataset(run_cfg)
     out_path = os.path.join(run_cfg.out_dir, "ablation.csv")
-    dio.make_parent_dir(out_path)
     rows = []
-    for abl, act in variants:
-        variant_cfg = dataclasses.replace(
-            run_cfg, model={**run_cfg.model, "ablation": abl, "gate_activation": act})
-        label = f"{abl}:{act}"
-        print(f"training variant {label} (seed {run_cfg.train.seed})", file=sys.stderr)
-        cfg, params, log = _train_once(variant_cfg, ds)
-        report = mx.evaluate(mdl.predictor(params, cfg), ds, "test",
-                             cfg.lookback, cfg.horizon, scaled=run_cfg.scaled_metrics)
-        agg = report.aggregate
-        rows.append((label, abl, act, agg))
-        print(f"{label}: test mse {agg['mse']:.6f} mae {agg['mae']:.6f}")
-    cell = mx.MetricsReport._cell
-    with dio.output_file(out_path) as fh:
-        fh.write("variant,ablation,gate_activation,mse,mae,nse,kge,mape\n")
-        for label, abl, act, agg in rows:
-            fh.write(f"{label},{abl},{act},"
-                     + ",".join(cell(agg[m]) for m in mx.METRIC_NAMES) + "\n")
+    with _out_dir_for(out_path):
+        for abl, act in variants:
+            variant_cfg = dataclasses.replace(
+                run_cfg, model={**run_cfg.model, "ablation": abl, "gate_activation": act})
+            label = f"{abl}:{act}"
+            print(f"training variant {label} (seed {run_cfg.train.seed})", file=sys.stderr)
+            cfg, params, log = _train_once(variant_cfg, ds)
+            report = mx.evaluate(mdl.predictor(params, cfg), ds, "test",
+                                 cfg.lookback, cfg.horizon, scaled=run_cfg.scaled_metrics)
+            agg = report.aggregate
+            rows.append((label, abl, act, agg))
+            print(f"{label}: test mse {agg['mse']:.6f} mae {agg['mae']:.6f}")
+        cell = mx.MetricsReport._cell
+        with dio.output_file(out_path) as fh:
+            fh.write("variant,ablation,gate_activation,mse,mae,nse,kge,mape\n")
+            for label, abl, act, agg in rows:
+                fh.write(f"{label},{abl},{act},"
+                         + ",".join(cell(agg[m]) for m in mx.METRIC_NAMES) + "\n")
     print(f"written: {out_path}")
     return 0
 

@@ -143,7 +143,9 @@ def _parse_plain(text: str, limit_rows: int | None, date_column: str):
         rows = [r for r in body.split("\n") if r][:limit_rows]
     has_date, names = _columns(head.split(","), date_column)
     commas = head.count(",")
-    if not head or not names or not rows or any(r.count(",") != commas for r in rows):
+    # loadtxt refuses a row too short for usecols, so equal totals mean equal rows
+    total = (body if limit_rows is None else "\n".join(rows)).count(",")
+    if not head or not names or not rows or total != commas * len(rows):
         return None
     try:
         values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
@@ -278,8 +280,21 @@ def split_and_scale(ds: TimeSeriesDataset, ratios, lookback: int, horizon: int) 
     if huge:
         raise DataError(f"train-split column(s) {', '.join(huge)} overflow float64: "
                         "the scaler's mean or std is not finite")
-    return replace(ds, values=(ds.values - mean) / std,
+    return replace(ds, values=_scaled(ds.values, mean, std, ds.variable_names),
                    scaler_mean=mean, scaler_std=std, split_bounds=bounds)
+
+
+def _scaled(values: np.ndarray, mean: np.ndarray, std: np.ndarray, names) -> np.ndarray:
+    """``(values - mean) / std``, or a DataError naming each column a row far outside the
+    scaler's range overflows."""
+    with np.errstate(over="ignore"):
+        scaled = (values - mean) / std
+    finite = np.isfinite(scaled).all(axis=0)
+    if not finite.all():
+        huge = [repr(c) for c, ok in zip(names, finite) if not ok]
+        raise DataError(f"column(s) {', '.join(huge)} overflow float64 when scaled: a row "
+                        "lies too far outside the train split's range")
+    return scaled
 
 
 def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
@@ -312,7 +327,7 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
         raise IOFault(f"malformed scaler in checkpoint: variable {names[j]!r} has mean "
                       f"{float(mean[j])!r}, std {float(std[j])!r}; need finite values, std > 0")
     return TimeSeriesDataset(
-        variable_names=names, values=(values - mean) / std, target_mode=target_mode,
+        variable_names=names, values=_scaled(values, mean, std, names), target_mode=target_mode,
         scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios))
 
 

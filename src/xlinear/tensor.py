@@ -9,16 +9,18 @@ intermediate gradient buffers are released during the walk. A leaf's
 ``grad`` is ``None`` until a pull reaches it, and ``None`` reads as zero.
 
 With no active tape every op is a plain numpy computation, which is the
-eval-mode fast path. :func:`mlp` goes one step further there: it runs a
-two-layer MLP over row blocks of ``MLP_BLOCK_FLOATS`` hidden floats, so its
-hidden layer never exists at full size.
+eval-mode fast path. :func:`mlp` runs a two-layer MLP over row blocks of
+about ``MLP_BLOCK_FLOATS`` hidden floats, so a block's hidden layer stays in
+cache from one GEMM to the next. Eval computes each block in place and never
+holds the hidden layer at full size; under a tape each block is a chain of
+tape ops over the same rows, so eval has the taped forward's bits.
 
 Dropout draws its keep masks from a Generator, four 16-bit lanes per
 generator output, or replays them from a :class:`DropoutMasks`, which
 holds one batch's masks while the batch runs as several taped sub-batches.
 A mask stays bool, with one scalar survivor scale beside it. With dropout
-on, :func:`mlp` applies relu and dropout in place in its hidden layer's one
-full-size buffer, and the pull writes the hidden gradient back into it.
+on, :func:`mlp` applies relu and dropout in place in each block's hidden
+buffer, and the pull writes the block's hidden gradient back into it.
 """
 
 from __future__ import annotations
@@ -339,8 +341,13 @@ def concat(tensors, axis: int) -> Tensor:
     return _push(out, pull)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; gradient routes back into place."""
+def narrow(x: Tensor, axis: int, start: int, length: int, into: list | None = None) -> Tensor:
+    """Contiguous slice along one axis; gradient routes back into place.
+
+    The parts of one :func:`split` share ``into``: the first part pulled keeps the zero
+    buffer it makes as ``x.grad``, and while it still is, the other parts write their slices
+    into it, in place of a full-size buffer and sum each. A leaf keeps that buffer as its
+    ``grad``, so a tape that splits a leaf is walked once, as one with a masked relu is."""
     ax = axis % x.ndim
     idx = [slice(None)] * x.ndim
     idx[ax] = slice(start, start + length)
@@ -348,22 +355,28 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = _out(np.ascontiguousarray(x.data[idx]), x)
 
     def pull(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x.data)
-            buf[idx] = g
-            _accum(x, buf)
+        if not x.requires_grad:
+            return
+        if into and into[0] is x.grad:
+            into[0][idx] = g
+            return
+        buf = np.zeros_like(x.data)
+        buf[idx] = g
+        _accum(x, buf)
+        if into is not None and x.grad is buf:
+            into[:] = [buf]
 
     return _push(out, pull)
 
 
 def split(x: Tensor, sizes, axis: int):
-    """Inverse of concat: consecutive narrows of the given sizes."""
+    """Inverse of concat: consecutive narrows of the given sizes, pulled into one buffer."""
     ax = axis % x.ndim
     if sum(sizes) != x.shape[ax]:
         raise DimensionError(f"split sizes {sizes} do not cover axis {axis} of {x.shape}")
-    parts, start = [], 0
+    parts, start, into = [], 0, []
     for n in sizes:
-        parts.append(narrow(x, ax, start, n))
+        parts.append(narrow(x, ax, start, n, into))
         start += n
     return tuple(parts)
 
@@ -442,37 +455,38 @@ class DropoutMasks:
         self.rows, self.site = rows, 0
 
 
-def _keep_scale(x: np.ndarray, rate: float,
+def _keep_scale(shape: tuple, rate: float,
                 rng: np.random.Generator | DropoutMasks) -> tuple[np.ndarray, float]:
-    """The inverted-dropout keep mask of ``x`` as bool, and the survivor scale
+    """The inverted-dropout keep mask of an input of ``shape`` as bool, and the survivor scale
     ``c = 1 / (1 - t / 2**16)``, with ``t = min(round(rate * 2**16), 2**16 - 1)``.
 
     Each output of ``rng.bit_generator.random_raw`` gives four entries their 16-bit lanes,
     low bits first, and ``keep`` is ``lane >= t``: the stream of one ``random_raw`` call of
-    ``ceil(x.size / 4)`` outputs, drawn in flat blocks of about ``MLP_BLOCK_FLOATS`` entries.
+    ``ceil(prod(shape) / 4)`` outputs, drawn in flat blocks of about ``MLP_BLOCK_FLOATS``
+    entries.
     Below ``rate = 1 - 2**-17`` the effective rate ``t / 2**16`` is within 2**-17 of
     ``rate``; above it ``t`` would round to 2**16 and keep nothing, so it keeps the top lane.
-    A Generator ``rng`` draws for ``x`` alone; a :class:`DropoutMasks` draws the site's
-    whole-batch mask on its first call and hands ``x`` its current rows.
+    A Generator ``rng`` draws for ``shape`` alone; a :class:`DropoutMasks` draws the site's
+    whole-batch mask on its first call and hands out its current rows.
     """
     if rng is None:
         raise UsageError("dropout in training needs an rng, got None")
-    masks = rng if isinstance(rng, DropoutMasks) else DropoutMasks(rng, x.shape[0])
+    masks = rng if isinstance(rng, DropoutMasks) else DropoutMasks(rng, shape[0])
     t = min(round(rate * 65536), 65535)
     if masks.site == len(masks.keep):
-        full = np.empty(masks.n * math.prod(x.shape[1:]), dtype=bool)
+        full = np.empty(masks.n * math.prod(shape[1:]), dtype=bool)
         step = max(MLP_BLOCK_FLOATS // 4, 1) * 4
         for lo in range(0, full.size, step):
             block = full[lo:lo + step]
             raw = masks.rng.bit_generator.random_raw(-(-block.size // 4))
             lanes = raw.astype("<u8", copy=False).view("<u2")[:block.size]
             np.greater_equal(lanes, t, out=block)
-        masks.keep.append(full.reshape((masks.n,) + x.shape[1:]))
+        masks.keep.append(full.reshape((masks.n,) + shape[1:]))
     keep = masks.keep[masks.site][masks.rows]
     masks.site += 1
-    if keep.shape != x.shape:
+    if keep.shape != shape:
         raise UsageError(f"dropout site {masks.site - 1} replays a {keep.shape} mask "
-                         f"onto a {x.shape} input")
+                         f"onto a {shape} input")
     return keep, 1.0 / (1.0 - t / 65536)
 
 
@@ -485,7 +499,7 @@ def dropout(x: Tensor, rate: float, training: bool,
     _check_rate(rate)
     if not training or rate == 0.0:
         return x
-    keep, c = _keep_scale(x.data, rate, rng)
+    keep, c = _keep_scale(x.shape, rate, rng)
     y = x.data * keep
     y *= c
     out = _out(y, x)
@@ -501,37 +515,54 @@ def dropout(x: Tensor, rate: float, training: bool,
 # ---------------------------------------------------------------------------
 # two-layer MLP
 
-MLP_BLOCK_FLOATS = 1 << 16  # floats per eval or dropout-draw block: 512 KB, inside a 2 MB L2
+MLP_BLOCK_FLOATS = 1 << 16  # floats per MLP or dropout-draw block: 512 KB, inside a 2 MB L2
+
+
+def _row_blocks(rows: int, width: int) -> list[int]:
+    """Bounds of the row blocks :func:`mlp` walks over a ``rows x width`` hidden layer: about
+    ``MLP_BLOCK_FLOATS // width`` rows each, starting at multiples of 8 rows, with a 1-row
+    tail joined to the block before it. BLAS rounds a misaligned or lone row (a
+    matrix-vector product) unlike the same row of one full-size product."""
+    step = max(MLP_BLOCK_FLOATS // width // 8, 1) * 8
+    return list(range(0, max(rows - 1, 1), step)) + [rows]
 
 
 def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
         rng: np.random.Generator | DropoutMasks) -> Tensor:
     """``dropout(relu(x @ w1 + b1)) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
 
-    Under an active tape, or with dropout on, this is ``matmul``, ``add``, the hidden layer,
-    ``matmul`` and ``add``. With dropout on the hidden layer is ``activation(h, "relu",
-    keep)`` with the keep mask of :func:`dropout`'s draw (for finite input, the two-op
-    result up to the sign of a zero): it overwrites the buffer that the first GEMM or bias
-    add made, which only this function holds, and its pull writes the hidden gradient back
-    into it once the second GEMM's pull has read it; else it is ``activation(h, "relu")``.
-    Otherwise each block of about ``MLP_BLOCK_FLOATS // hidden width`` rows of ``x`` is
-    biased and clipped in place and multiplied into its rows of one output. Blocks start at
-    multiples of 8 rows and a 1-row tail joins the block before it: BLAS rounds a misaligned
-    or lone row (a matrix-vector product) unlike the same row of one full-size product.
+    Both paths walk the row blocks of :func:`_row_blocks`, so a block's hidden layer stays in
+    cache from the first GEMM through the second, and eval has the taped forward's bits.
+    Under an active tape, or with dropout on, each block of ``x``'s rows is a ``split`` part
+    run through ``matmul``, ``add`` and the hidden layer, then ``matmul``; the parts are
+    concatenated and ``b2`` is added. With dropout on the hidden layer is ``activation(h,
+    "relu", keep)`` with the block's rows of the keep mask :func:`dropout` would draw for the
+    whole hidden layer (for finite input, the two-op result up to the sign of a zero): it
+    overwrites the buffer the first GEMM or bias add made, which only this function holds,
+    and its pull writes the hidden gradient back into it once the second GEMM's pull has
+    read it; else it is ``activation(h, "relu")``. Otherwise each block is biased and
+    clipped in place and multiplied into its rows of one output.
     """
     _check_rate(rate)
-    dropping = training and rate > 0.0
-    if _active_tape is not None or dropping:
-        h = matmul(x, w1) if b1 is None else add(matmul(x, w1), b1)
-        h = activation(h, "relu", _keep_scale(h.data, rate, rng) if dropping else None)
-        return add(matmul(h, w2), b2)
     _check_matmul(x.shape, w1.shape)
     _check_matmul(x.shape[:-1] + w1.shape[1:], w2.shape)
-    x2 = x.data.reshape(-1, w1.shape[0])
-    rows = x2.shape[0]
-    out = np.empty((rows, w2.shape[1]))
-    step = max(MLP_BLOCK_FLOATS // w1.shape[1] // 8, 1) * 8
-    bounds = list(range(0, max(rows - 1, 1), step)) + [rows]
+    (k, width), n = w1.shape, w2.shape[1]
+    rows = math.prod(x.shape[:-1])
+    bounds = _row_blocks(rows, width)
+    dropping = training and rate > 0.0
+    if _active_tape is not None or dropping:
+        if dropping:
+            mask, c = _keep_scale(x.shape[:-1] + (width,), rate, rng)
+            mask = mask.reshape(rows, width)
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        parts = []
+        for lo, xb in zip(bounds, split(reshape(x, (rows, k)), sizes, 0)):
+            h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1)
+            keep = (mask[lo:lo + xb.shape[0]], c) if dropping else None
+            parts.append(matmul(activation(h, "relu", keep), w2))
+        return reshape(add(concat(parts, 0), b2), x.shape[:-1] + (n,))
+    x2 = x.data.reshape(rows, k)
+    out = np.empty((rows, n))
     for lo, hi in zip(bounds, bounds[1:]):
         h = x2[lo:hi] @ w1.data
         if b1 is not None:
@@ -539,7 +570,7 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
         np.maximum(h, 0.0, out=h)
         np.matmul(h, w2.data, out=out[lo:hi])
     out += b2.data
-    return Tensor(out.reshape(x.shape[:-1] + w2.shape[1:]))
+    return Tensor(out.reshape(x.shape[:-1] + (n,)))
 
 
 # ---------------------------------------------------------------------------

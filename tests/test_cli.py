@@ -650,6 +650,48 @@ class TestErrors:
             "the scaler's mean or std is not finite"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_row_that_overflows_once_scaled_is_one_data_line(self, tmp_path, capsys, command):
+        """Column ``a`` is about 1e-10 on the 180 train rows and 1e300 after them, so its
+        scaled value overflows; ``predict`` reads that file with the scaler of a checkpoint
+        trained on the small values alone."""
+        def write(path, far):
+            path.write_text("date,a,b\n" + "".join(
+                f"2020-01-01,{1e300 if far and i >= 180 else i % 5 * 1e-10!r},{i % 7 * 0.5}\n"
+                for i in range(300)))
+            return path
+
+        bad = write(tmp_path / "far.csv", far=True)
+        if command == "train":
+            argv = ["train", "--config", str(make_config(tmp_path, bad))]
+        else:
+            cfg_path = make_config(tmp_path, write(tmp_path / "near.csv", far=False),
+                                   train={"max_epochs": 1})
+            assert cli.main(["train", "--config", str(cfg_path)]) == 0
+            capsys.readouterr()
+            argv = ["predict", "--checkpoint", str(tmp_path / "run" / cli.CHECKPOINT_NAME),
+                    "--input", str(bad), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error[data]: column(s) 'a' overflow float64 when scaled: a row lies too far "
+            "outside the train split's range"]
+        assert not (tmp_path / ("run" if command == "train" else "out")).exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_run_removes_only_the_empty_out_dir_it_made(self, tmp_path, capsys, command,
+                                                              existed):
+        csv_path = write_synthetic_csv(tmp_path / "series.csv", n_rows=400)
+        cfg_path = make_config(tmp_path, csv_path, model={"t_ff": 2 ** 62})
+        out_dir = tmp_path / "run"
+        if existed:
+            out_dir.mkdir()
+        extra = ["--variants", "full"] if command == "ablate" else []
+        assert cli.main([command, "--config", str(cfg_path), *extra]) == 2
+        err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error[")]
+        assert len(err) == 1 and err[0].startswith("error[config]: model too large"), err
+        assert out_dir.exists() == existed
+
     @pytest.mark.parametrize("model, reason", [
         ({"t_ff": 2 ** 62}, "array is too big"),
         ({"c_ff": 10 ** 15}, "Unable to allocate"),

@@ -71,6 +71,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             dio.load_csv(p)
 
+    @pytest.mark.parametrize("limit_rows", [None, 4])
+    @pytest.mark.parametrize("pair, got", [("4,5,6,7\n8,9", 4), ("8,9\n4,5,6,7", 2)])
+    def test_long_and_short_row_with_the_header_comma_total_take_the_scan(
+            self, tmp_path, limit_rows, pair, got):
+        """Rows of 3, 4, 2 and 3 cells hold the header's comma count four times over, so
+        the total alone does not flag them; numpy refuses the short row and the scan names
+        the first ragged one."""
+        p = tmp_path / "ragged.csv"
+        p.write_text(f"a,b,c\n1,2,3\n{pair}\n10,11,12\n")
+        assert dio._parse_plain(p.read_text(), limit_rows, "date") is None
+        with pytest.raises(DataError) as e:
+            dio.read_csv_values(p, limit_rows)
+        assert str(e.value) == f"{p}, line 3: ragged row, expected 3 cells, got {got}"
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n3,oops\n5,6\n")

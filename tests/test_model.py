@@ -539,13 +539,12 @@ class TestForward:
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
         np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
 
-    def test_paper_size_eval_blocks_stay_within_rounding_of_the_taped_forward(self):
-        """At the paper size in M mode the VGM's second GEMM has K = 512, and OpenBLAS
-        rounds a row block of it unlike the same rows of the full product (blocks are
-        bit-equal up to K = 384), so here the eval forward is only within 1e-15 of the
-        taped one, relative to each output's largest magnitude: the gap is a few ulp, and a
-        forecast entry near zero differs by more than 1e-15 of itself."""
-        cfg = mdl.ModelConfig(horizon=96, n_endo=7, n_exo=7, d_model=256, t_ff=512,
+    @pytest.mark.parametrize("n_endo,n_exo", [(7, 7), (1, 6)])
+    def test_paper_size_eval_blocks_equal_the_taped_forward(self, n_endo, n_exo):
+        """At the paper size the VGM's second GEMM has K = 512, where OpenBLAS rounds a row
+        block unlike the same rows of one full-size product; the taped forward walks the
+        eval blocks, so the two still agree bit for bit."""
+        cfg = mdl.ModelConfig(horizon=96, n_endo=n_endo, n_exo=n_exo, d_model=256, t_ff=512,
                               c_ff=512)
         p = make_params(cfg, seed=26)
         b = make_batch(cfg, n=5, seed=27)
@@ -554,10 +553,9 @@ class TestForward:
         with tc.record(tape):
             y_taped, trace_taped = mdl.forward(b, p, training=False)
         assert tape.nodes and not y_eval.requires_grad
-        for got, want in ((y_eval.data, y_taped.data),
-                          (trace_eval.time_gate, trace_taped.time_gate),
-                          (trace_eval.variate_gate, trace_taped.variate_gate)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        np.testing.assert_array_equal(y_eval.data, y_taped.data)
+        np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
+        np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
 
 
 class TestExport:

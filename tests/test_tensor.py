@@ -322,6 +322,28 @@ class TestShapeOps:
         with pytest.raises(DimensionError):
             tc.split(Tensor(np.ones((2, 5))), (2, 2), axis=1)
 
+    @pytest.mark.parametrize("other", [None, "before", "after"])
+    def test_split_parts_pull_into_place(self, other):
+        """The parts of a split fill one gradient buffer, an unpulled part leaves zeros, and
+        a gradient from another consumer of ``x``, pulled after the parts or before them,
+        adds to it."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w0, w2, v = (rng.normal(size=s) for s in ((2, 4), (3, 4), (6, 4)))
+        tape = Tape()
+        with record(tape):
+            terms = [tc.tsum(x * Tensor(v))] if other == "before" else []
+            p0, _, p2 = tc.split(x, (2, 1, 3), axis=0)
+            terms += [tc.tsum(p0 * Tensor(w0)), tc.tsum(p2 * Tensor(w2))]
+            if other == "after":
+                terms.append(tc.tsum(x * Tensor(v)))
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = loss + t
+        backward(loss, tape)
+        want = np.concatenate([w0, np.zeros((1, 4)), w2])
+        np.testing.assert_array_equal(x.grad, want if other is None else want + v)
+
     def test_concat_grad_is_ones_on_both_inputs(self):
         a = Tensor(np.random.default_rng(2).normal(size=(2, 3)), requires_grad=True)
         b = Tensor(np.random.default_rng(3).normal(size=(2, 4)), requires_grad=True)
@@ -591,7 +613,8 @@ class TestMaskedRelu:
 
 
 class TestMlp:
-    """``mlp`` in eval walks row blocks; under a tape or with dropout on it is the five ops."""
+    """``mlp`` walks row blocks: in place in eval, as tape ops under a tape or with dropout
+    on."""
 
     @staticmethod
     def layers(k=5, width=8, n=3, bias=True, seed=12):
@@ -630,28 +653,40 @@ class TestMlp:
 
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("training", [False, True])
-    def test_taped_path_is_the_composed_ops(self, bias, training):
-        """With dropout on, ``mlp``'s hidden layer is one masked-relu ``activation`` node
-        where the composition has a ``mul`` by the float scale; values, gradients and the
-        Generator's end state are the composition's bit for bit."""
+    def test_taped_path_is_the_composed_ops(self, monkeypatch, bias, training):
+        """Under a tape ``mlp`` walks the eval row blocks (20 rows of width 8 in blocks of 8,
+        8 and 4): a ``split`` part per block through ``matmul``, the bias ``add`` and the
+        hidden layer, then ``matmul``, and one ``concat`` and ``b2`` add. With dropout on, a
+        block's hidden layer is one masked-relu ``activation`` node where the composition has
+        a ``mul`` by the float scale of its rows of the whole-layer keep mask; values,
+        gradients and the Generator's end state are the composition's bit for bit."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers(bias=bias)
-        x = Tensor(np.random.default_rng(15).normal(size=(4, 6, 5)), requires_grad=True)
+        x = Tensor(np.random.default_rng(15).normal(size=(4, 5, 5)), requires_grad=True)
         runs = []
         for fused in (True, False):
             rng = np.random.default_rng(16)
             tape = Tape()
+            hidden = []
             with record(tape):
                 if fused:
                     y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, rng)
-                else:  # with dropout on, the hidden layer is one mul by relu and the keep mask
-                    h = x @ w1 + b1 if bias else x @ w1
+                else:
                     if training:
-                        keep, scale = lane_keep(rng, h.shape, 0.3)
-                        h = h * Tensor((keep & (h.data > 0.0)) * scale)
-                        hidden = len(tape.nodes) - 1
-                    else:
-                        h = tc.activation(h, "relu")
-                    y = h @ w2 + b2
+                        keep, scale = lane_keep(rng, (4, 5, 8), 0.3)
+                        keep = keep.reshape(20, 8)
+                    parts = []
+                    blocks = tc.split(tc.reshape(x, (20, 5)), (8, 8, 4), 0)
+                    for lo, xb in zip((0, 8, 16), blocks):
+                        h = xb @ w1 + b1 if bias else xb @ w1
+                        if training:  # one mul by relu and the block's keep rows
+                            rows = keep[lo:lo + xb.shape[0]]
+                            h = h * Tensor((rows & (h.data > 0.0)) * scale)
+                            hidden.append(len(tape.nodes) - 1)
+                        else:
+                            h = tc.activation(h, "relu")
+                        parts.append(h @ w2)
+                    y = tc.reshape(tc.concat(parts, 0) + b2, (4, 5, 3))
                 backward(tc.tsum(y * y), tape)
             leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
             runs.append(([pull.__qualname__ for _, pull in tape.nodes], y.data,
@@ -659,8 +694,9 @@ class TestMlp:
             for t in leaves:
                 t.zero_grad()
         (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
-        if training:
-            ref_ops[hidden] = "activation.<locals>.pull"
+        for i in hidden:
+            ref_ops[i] = "activation.<locals>.pull"
+        assert len(hidden) == (3 if training else 0)
         assert ops == ref_ops and state == ref_state
         np.testing.assert_array_equal(y, ref_y)
         for g, ref in zip(grads, ref_grads):

@@ -588,7 +588,7 @@ class TestSubBatches:
                 return real_mlp(x, w1, b1, w2, b2, rate, training, rng)
             taped.append(x.shape[0])
             h = x @ w1 if b1 is None else x @ w1 + b1
-            keep, c = tc._keep_scale(h.data, rate, rng)
+            keep, c = tc._keep_scale(h.shape, rate, rng)
             h = h * Tensor((keep & (h.data > 0.0)) * c)
             return h @ w2 + b2
 
