@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .data import TARGET_MODES, check_split_ratios
+from .data import check_limit_rows, check_split_ratios, check_target_mode
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -29,11 +29,8 @@ class DataConfig:
     date_column: str = "date"
 
     def __post_init__(self):
-        if self.target_mode not in TARGET_MODES:
-            raise ConfigError(
-                f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
-        if self.limit_rows is not None and self.limit_rows < 1:
-            raise ConfigError(f"limit_rows must be >= 1 or null, got {self.limit_rows}")
+        check_target_mode(self.target_mode)
+        check_limit_rows(self.limit_rows)
         check_split_ratios(self.split_ratios)
 
 

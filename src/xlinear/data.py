@@ -48,28 +48,26 @@ class TimeSeriesDataset:
         return self.values.shape[1]
 
     @property
-    def endo_indices(self) -> tuple:
-        if self.target_mode == "multivariate":
-            return tuple(range(self.n_variables))
-        return (self.n_variables - 1,)
+    def endo(self) -> slice:
+        """The endogenous columns: all of them, or the last."""
+        return slice(None) if self.target_mode == "multivariate" else slice(-1, None)
 
     @property
-    def exo_indices(self) -> tuple:
-        if self.target_mode == "multivariate":
-            return tuple(range(self.n_variables))
-        return tuple(range(self.n_variables - 1))
+    def exo(self) -> slice:
+        """The exogenous columns: all of them, or all but the last."""
+        return slice(None) if self.target_mode == "multivariate" else slice(None, -1)
 
     @property
     def n_endo(self) -> int:
-        return len(self.endo_indices)
+        return len(self.endo_names)
 
     @property
     def n_exo(self) -> int:
-        return len(self.exo_indices)
+        return len(self.variable_names[self.exo])
 
     @property
     def endo_names(self) -> tuple:
-        return tuple(self.variable_names[i] for i in self.endo_indices)
+        return self.variable_names[self.endo]
 
     def bounds_of(self, split: str) -> tuple:
         if self.split_bounds is None:
@@ -85,7 +83,7 @@ class WindowBatch:
     """One batch of sliding windows, variables-major: [batch x vars x time]."""
 
     endo_history: np.ndarray  # [batch x M x L]
-    exo_history: np.ndarray  # [batch x C x L]
+    exo_history: np.ndarray  # [batch x C x L]; in multivariate mode the same array
     endo_future: np.ndarray | None = None  # [batch x M x S]; None when forecasting
     origins: np.ndarray | None = None  # window start rows, maps windows back to the CSV
 
@@ -98,8 +96,7 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
     plain numeric text by :func:`_parse_plain`, the rest by :func:`_scan_values`, which
     names the line and column of a ragged row or bad cell. A leading ``date_column`` is
     skipped."""
-    if limit_rows is not None and limit_rows < 1:
-        raise ConfigError(f"limit_rows must be at least 1, got {limit_rows}")
+    check_limit_rows(limit_rows)
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8-sig")
@@ -117,7 +114,23 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise DataError(f"{path}: repeated column name {repeated[0]!r} in header")
+    unsafe = [n for n in names if any(c in n for c in ',"\r\n')]
+    if unsafe:  # the output CSVs write names unquoted
+        raise DataError(f"{path}: column name {unsafe[0]!r} in header holds a comma, quote "
+                        "or line break, which an output CSV header cannot carry")
     return parsed
+
+
+def check_limit_rows(limit_rows: int | None):
+    """Raise ConfigError unless ``limit_rows`` is None or at least 1."""
+    if limit_rows is not None and limit_rows < 1:
+        raise ConfigError(f"limit_rows must be >= 1 or null, got {limit_rows}")
+
+
+def check_target_mode(target_mode: str):
+    """Raise ConfigError unless ``target_mode`` is one of :data:`TARGET_MODES`."""
+    if target_mode not in TARGET_MODES:
+        raise ConfigError(f"target_mode must be one of {TARGET_MODES}, got {target_mode!r}")
 
 
 def _columns(header, date_column: str):
@@ -214,18 +227,11 @@ def load_csv(path, target_mode: str = "multivariate", limit_rows: int | None = N
     Raises
     ------
     DataError
-        Missing file, ragged rows, non-numeric or non-finite cells,
-        constant columns.
+        Missing file, ragged rows, non-numeric or non-finite cells, bad
+        column names. :func:`split_and_scale` refuses constant columns.
     """
-    if target_mode not in TARGET_MODES:
-        raise ConfigError(f"target_mode must be one of {TARGET_MODES}, got {target_mode!r}")
+    check_target_mode(target_mode)
     names, values = read_csv_values(path, limit_rows, date_column)
-
-    constant = [names[j] for j in range(values.shape[1])
-                if values[:, j].min() == values[:, j].max()]
-    if constant:
-        raise DataError(f"{path}: constant column(s) {', '.join(repr(c) for c in constant)}; "
-                        "a constant series cannot be standardized")
     return TimeSeriesDataset(variable_names=names, values=values, target_mode=target_mode)
 
 
@@ -373,18 +379,20 @@ def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: 
         raise DataError(f"split {split!r} admits no windows for L={L}, S={S}")
     if shuffle:
         origins = rng.permutation(origins)
-    hist = np.lib.stride_tricks.sliding_window_view(ds.values, L, axis=0)
-    fut = np.lib.stride_tricks.sliding_window_view(ds.values, S, axis=0)
-    endo = list(ds.endo_indices)
-    exo = list(ds.exo_indices)
+    by_var = np.ascontiguousarray(ds.values.T)  # so one gather is [batch x vars x L] in C order
+    hist = np.lib.stride_tricks.sliding_window_view(by_var, L, axis=1).transpose(1, 0, 2)
+    fut = np.lib.stride_tricks.sliding_window_view(by_var, S, axis=1).transpose(1, 0, 2)
     for i in range(0, origins.size, batch_size):
         idx = origins[i:i + batch_size]
-        yield WindowBatch(
-            endo_history=np.ascontiguousarray(hist[idx][:, endo, :]),
-            exo_history=np.ascontiguousarray(hist[idx][:, exo, :]),
-            endo_future=np.ascontiguousarray(fut[idx + L][:, endo, :]),
+        win, ahead = hist[idx], fut[idx + L]
+        batch = WindowBatch(  # slices of all columns are the gathers themselves, not copies
+            endo_history=np.ascontiguousarray(win[:, ds.endo]),
+            exo_history=np.ascontiguousarray(win[:, ds.exo]),
+            endo_future=np.ascontiguousarray(ahead[:, ds.endo]),
             origins=idx,
         )
+        del win, ahead  # the suspended generator would keep both whole gathers alive
+        yield batch
 
 
 def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
@@ -392,10 +400,10 @@ def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
     if ds.n_rows < L:
         raise DataError(f"input has {ds.n_rows} rows; prediction needs the "
                         f"trailing L = {L} rows of every variable")
-    win = ds.values[-L:].T  # [V x L]
+    win = np.ascontiguousarray(ds.values[-L:].T)[None]  # [1 x V x L]
     return WindowBatch(
-        endo_history=np.ascontiguousarray(win[list(ds.endo_indices)][None]),
-        exo_history=np.ascontiguousarray(win[list(ds.exo_indices)][None]),
+        endo_history=np.ascontiguousarray(win[:, ds.endo]),
+        exo_history=np.ascontiguousarray(win[:, ds.exo]),
         origins=np.array([ds.n_rows - L]),
     )
 
@@ -412,9 +420,8 @@ def inverse_scale_forecast(ds: TimeSeriesDataset, yhat: np.ndarray) -> np.ndarra
     """
     if ds.scaler_mean is None or ds.scaler_std is None:
         raise UsageError("scaler not fitted; call split_and_scale first")
-    idx = list(ds.endo_indices)
-    std = ds.scaler_std[idx].reshape(1, -1, 1)
-    mean = ds.scaler_mean[idx].reshape(1, -1, 1)
+    std = ds.scaler_std[ds.endo].reshape(1, -1, 1)
+    mean = ds.scaler_mean[ds.endo].reshape(1, -1, 1)
     return yhat * std + mean
 
 

@@ -200,26 +200,17 @@ def evaluate(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int,
              scaled: bool = True) -> MetricsReport:
     """Score ``model`` over every stride-1 window of a split.
 
-    Predictions and truths from :func:`split_forecasts` are pooled across windows per
-    variable before any metric is computed; with ``scaled=False`` both are mapped back to
-    original units first.
+    Predictions and truths from :func:`split_forecasts` are pooled once into [windows x M x S]
+    arrays, and each variable's metrics are computed over all its points; with
+    ``scaled=False`` both are mapped back to original units first.
     """
+    yhat, y = (np.concatenate(parts) for parts in zip(*split_forecasts(model, ds, split, L, S)))
+    if not scaled:
+        yhat, y = dio.inverse_scale_forecast(ds, yhat), dio.inverse_scale_forecast(ds, y)
     names = ds.endo_names
-    preds = {n: [] for n in names}
-    truth = {n: [] for n in names}
-    for yhat, y in split_forecasts(model, ds, split, L, S):
-        if not scaled:
-            yhat = dio.inverse_scale_forecast(ds, yhat)
-            y = dio.inverse_scale_forecast(ds, y)
-        for j, n in enumerate(names):
-            preds[n].append(yhat[:, j, :].ravel())
-            truth[n].append(y[:, j, :].ravel())
-
-    per_variable = {}
-    metric_errors = {}
-    mape_excluded = {}
-    for n in names:
-        vals, errs, excl = _metrics_for(np.concatenate(truth[n]), np.concatenate(preds[n]))
+    per_variable, metric_errors, mape_excluded = {}, {}, {}
+    for j, n in enumerate(names):
+        vals, errs, excl = _metrics_for(y[:, j], yhat[:, j])
         per_variable[n] = vals
         mape_excluded[n] = excl
         if errs:

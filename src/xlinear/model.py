@@ -232,18 +232,17 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
 
     The MLP runs in the transposed [batch x d_model x (C+M)] layout so
     identical weights apply at every embedding position. The first bias rides in the
-    GEMM as the weight row of a constant ones channel, so the
-    [batch x d_model x c_ff] hidden layer has no separate bias add; in eval it exists only
-    in :func:`~xlinear.tensor.mlp`'s row blocks. An elementwise gate
-    computes only its M global-token columns; softmax normalizes over all C+M and keeps
-    the last M.
+    GEMM as the weight row of a constant ones channel, stacked after the C+M channels
+    before the one transpose, so the [batch x d_model x c_ff] hidden layer has no separate
+    bias add; in eval it exists only in :func:`~xlinear.tensor.mlp`'s row blocks. An
+    elementwise gate computes only its M global-token columns; softmax normalizes over all
+    C+M and keeps the last M.
     """
     cfg = params.cfg
-    tok = tc.concat([e_exo, x_glob], axis=1)  # [b x (C+M) x d]
-    t = tc.transpose(tok)
-    t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)  # [b x d x (C+M+1)]
+    ones = Tensor(np.ones((x_glob.shape[0], 1, cfg.d_model)))
+    t = tc.transpose(tc.concat([e_exo, x_glob, ones], axis=1))  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
-    h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training, rng)
+    h = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training, rng)
     gate = tc.activation(h, cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)

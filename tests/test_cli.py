@@ -748,6 +748,25 @@ class TestErrors:
             f"error[data]: {bad}: repeated column name 'x' in header\n"
 
     @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_column_name_an_output_cannot_carry_is_one_data_error(self, trained, tmp_path,
+                                                                  capsys, command, name):
+        """A quoted header name holding a comma, quote or line break would shift the columns
+        of every CSV that names it, so it is refused before any output is written."""
+        quoted = '"' + name.replace('"', '""') + '"'
+        values = np.random.default_rng(0).normal(size=(200, 3))
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join([f"date,{quoted},c,y"] + [
+                "2020-01-01," + ",".join(repr(float(v)) for v in row) for row in values]) + "\n")
+        assert cli.main(csv_argv(command, trained, tmp_path, bad)) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {bad}: column name {name!r} in header holds a comma, quote or "
+            "line break, which an output CSV header cannot carry\n")
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
     def test_cell_over_the_csv_field_limit_is_one_data_error(self, trained, tmp_path, capsys,
                                                              command):
         bad = tmp_path / "bad.csv"
@@ -805,6 +824,16 @@ class TestErrors:
         )
         assert proc.returncode == 5
         assert proc.stderr.strip().startswith("error[io]:")
+
+    def test_module_entry_point(self, tmp_path):
+        """``python -m xlinear.cli`` runs the CLI: a missing config is one config error."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "xlinear.cli", "train", "--config",
+             str(tmp_path / "absent.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[config]: cannot read config")
 
 
 class TestRunConfigLayer:

@@ -53,8 +53,8 @@ class TestLoadCsv:
         assert ds.n_endo == 1
         assert ds.n_exo == 2
         assert ds.endo_names == ("c",)
-        assert ds.endo_indices == (2,)
-        assert ds.exo_indices == (0, 1)
+        np.testing.assert_array_equal(ds.values[:, ds.endo], ds.values[:, [2]])
+        np.testing.assert_array_equal(ds.values[:, ds.exo], ds.values[:, [0, 1]])
 
     def test_headers_without_date_column(self, tmp_path):
         p = write_csv(tmp_path / "nodate.csv", "u,v", [[i, i * 2 + 0.5] for i in range(9)])
@@ -98,10 +98,12 @@ class TestLoadCsv:
             dio.load_csv(p)
 
     def test_constant_column_named(self, tmp_path):
+        """A column constant over the whole file loads, and the scaler fit refuses it."""
         p = write_csv(tmp_path / "const.csv", "a,b",
                       [[i, 7.0] for i in range(10)])
-        with pytest.raises(DataError, match="'b'"):
-            dio.load_csv(p)
+        ds = dio.load_csv(p)
+        with pytest.raises(DataError, match="constant train-split column.*'b'"):
+            dio.split_and_scale(ds, (0.6, 0.2, 0.2), 2, 1)
 
     def test_bad_target_mode(self, toy_csv):
         with pytest.raises(ConfigError):
@@ -113,7 +115,7 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_rows_below_one_rejected(self, toy_csv, limit):
-        with pytest.raises(ConfigError, match="limit_rows must be at least 1"):
+        with pytest.raises(ConfigError, match="limit_rows must be >= 1"):
             dio.read_csv_values(toy_csv, limit_rows=limit)
 
     @pytest.mark.parametrize("which", ["plain", "quoted"])
@@ -295,6 +297,74 @@ class TestIterBatches:
     def test_bad_split_name(self):
         with pytest.raises(UsageError):
             list(dio.iter_batches(self.make(10), "holdout", 4, 2, 4))
+
+
+def column_lists(ds):
+    """The endogenous and exogenous column indices, as lists."""
+    n = ds.n_variables
+    if ds.target_mode == "multivariate":
+        return list(range(n)), list(range(n))
+    return [n - 1], list(range(n - 1))
+
+
+def reference_batches(ds, split, L, S, batch_size, rng=None):
+    """(endo history, exo history, endo future, origins) per batch, gathered window by window
+    through index lists of the endogenous and exogenous columns."""
+    endo, exo = column_lists(ds)
+    origins = dio.window_origins(ds, split, L, S)
+    if rng is not None:
+        origins = rng.permutation(origins)
+    for i in range(0, origins.size, batch_size):
+        idx = origins[i:i + batch_size]
+        hist = np.stack([ds.values[t:t + L].T for t in idx])
+        fut = np.stack([ds.values[t + L:t + L + S].T for t in idx])
+        yield hist[:, endo], hist[:, exo], fut[:, endo], idx
+
+
+class TestColumnSlices:
+    @pytest.fixture(params=["multivariate", "last-column-endogenous"])
+    def ds(self, request):
+        vals = np.random.default_rng(3).normal(size=(61, 4))
+        ds = dio.TimeSeriesDataset(("a", "b", "c", "d"), vals, request.param)
+        return dio.split_and_scale(ds, (0.6, 0.2, 0.2), 6, 3)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_iter_batches_equals_an_index_list_gather(self, ds, shuffle, split):
+        """Every batch, the short last one included, holds the windows of a gather by
+        index lists, in C order."""
+        rng = np.random.default_rng(4) if shuffle else None
+        twin = np.random.default_rng(4) if shuffle else None
+        got = list(dio.iter_batches(ds, split, 6, 3, 7, shuffle=shuffle, rng=rng))
+        want = list(reference_batches(ds, split, 6, 3, 7, twin))
+        assert len(got) == len(want) and len(got[-1]) < 7
+        for b, (endo, exo, fut, idx) in zip(got, want):
+            np.testing.assert_array_equal(b.origins, idx)
+            np.testing.assert_array_equal(b.endo_history, endo)
+            np.testing.assert_array_equal(b.exo_history, exo)
+            np.testing.assert_array_equal(b.endo_future, fut)
+            assert all(a.flags.c_contiguous for a in (b.endo_history, b.exo_history,
+                                                      b.endo_future))
+
+    def test_multivariate_histories_are_one_array(self, ds):
+        (b, *_) = dio.iter_batches(ds, "train", 6, 3, 7)
+        assert np.shares_memory(b.endo_history, b.exo_history) == \
+            (ds.target_mode == "multivariate")
+
+    def test_last_window_equals_the_trailing_rows(self, ds):
+        b = dio.last_window(ds, 6)
+        trailing = ds.values[-6:].T[None]
+        endo, exo = column_lists(ds)
+        np.testing.assert_array_equal(b.endo_history, trailing[:, endo])
+        np.testing.assert_array_equal(b.exo_history, trailing[:, exo])
+        np.testing.assert_array_equal(b.origins, [ds.n_rows - 6])
+        assert b.endo_history.flags.c_contiguous and b.exo_history.flags.c_contiguous
+
+    def test_inverse_scale_uses_the_endogenous_statistics(self, ds):
+        z = np.random.default_rng(5).normal(size=(2, ds.n_endo, 3))
+        endo, _ = column_lists(ds)
+        want = z * ds.scaler_std[endo][None, :, None] + ds.scaler_mean[endo][None, :, None]
+        np.testing.assert_array_equal(dio.inverse_scale_forecast(ds, z), want)
 
 
 class TestOutputFile:

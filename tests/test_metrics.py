@@ -4,6 +4,7 @@ Every oracle below recomputes its metric with plain Python loops and
 math-module scalars, sharing no code path with the implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,34 @@ class TestEvaluate:
                                                rel=1e-10)
             assert row["kge"] == pytest.approx(kge_oracle(truth[n].tolist(), p.tolist()),
                                                abs=1e-10)
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
+    def test_one_pool_equals_per_batch_pooling(self, tmp_path, scaled, target_mode):
+        """Every metric, error and exclusion count equals that of the series pooled batch by
+        batch and variable by variable, each batch mapped to original units on its own."""
+        ds = dataclasses.replace(ramp_dataset(tmp_path), target_mode=target_mode)
+
+        def noisy_model(endo_hist, exo_hist):
+            clean = perfect_ramp_predictor(endo_hist, exo_hist)
+            return clean + 0.05 * np.sin(np.arange(clean.size).reshape(clean.shape))
+
+        preds = {n: [] for n in ds.endo_names}
+        truth = {n: [] for n in ds.endo_names}
+        for yhat, y in mx.split_forecasts(noisy_model, ds, "test", 8, 4):
+            if not scaled:
+                yhat = dio.inverse_scale_forecast(ds, yhat)
+                y = dio.inverse_scale_forecast(ds, y)
+            for j, n in enumerate(ds.endo_names):
+                preds[n].append(yhat[:, j, :].ravel())
+                truth[n].append(y[:, j, :].ravel())
+        rep = mx.evaluate(noisy_model, ds, "test", 8, 4, scaled=scaled)
+        for n in ds.endo_names:
+            vals, errs, excl = mx._metrics_for(np.concatenate(truth[n]), np.concatenate(preds[n]))
+            assert rep.per_variable[n] == vals
+            assert rep.metric_errors.get(n, {}) == errs
+            assert rep.mape_excluded[n] == excl
+        assert list(rep.per_variable) == list(ds.endo_names)
 
     def test_aggregate_is_mean_of_variables(self, tmp_path):
         ds = ramp_dataset(tmp_path)

@@ -332,6 +332,49 @@ class TestVgm:
         for got, want in zip(outs + grads, ref_outs + ref_grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("gate", ["sigmoid", "softmax"])
+    @pytest.mark.parametrize("n_endo,n_exo", [(3, 3), (1, 4)], ids=["M", "MS"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_stack_equals_the_two_concat_composition(self, gate, n_endo, n_exo, training):
+        """Stacking the ones channel with the tokens before the one transpose gives the bits
+        of transposing the tokens and then appending the ones channel: output, gate, and the
+        gradients of the tokens and of every VGM parameter."""
+        cfg = tiny_cfg(gate_activation=gate, n_endo=n_endo, n_exo=n_exo, c_dropout=0.3)
+        p = make_params(cfg, seed=23)
+        data = np.random.default_rng(9)
+        p.vgm_b1.data[...] = data.normal(size=cfg.c_ff)
+        p.vgm_b2.data[...] = data.normal(size=p.vgm_b2.shape)
+        e = Tensor(data.normal(size=(3, n_exo, 6)), requires_grad=True)
+        g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
+        weights = data.normal(size=(3, n_endo, 6))
+
+        def two_concat(e_exo, x_glob, params, training, rng):
+            t = tc.transpose(tc.concat([e_exo, x_glob], axis=1))
+            t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)
+            w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
+            h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
+                       rng)
+            gate = tc.activation(h, cfg.gate_activation)
+            if cfg.gate_activation == "softmax":
+                gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
+            gate = tc.transpose(gate)
+            return gate * x_glob, gate
+
+        leaves = [e, g, p.vgm_w1, p.vgm_b1, p.vgm_w2, p.vgm_b2]
+
+        def run(fn):
+            for t in leaves:
+                t.zero_grad()
+            tape = tc.Tape()
+            with tc.record(tape):
+                outs = fn(e, g, p, training, np.random.default_rng(8))
+                loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
+            tc.backward(loss, tape)
+            return [o.data for o in outs] + [t.grad.copy() for t in leaves]
+
+        for got, want in zip(run(mdl.vgm), run(two_concat)):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("n_endo,n_exo", [(7, 7), (1, 6)])
     def test_eval_peak_stays_below_the_full_hidden_layer(self, n_endo, n_exo):
         """In eval the [b*d_model x c_ff] hidden layer exists only in row blocks."""

@@ -453,6 +453,21 @@ class TestSubBatches:
             assert sub["vgm_w1"] is None and sub["embed_exo_w"] is None
 
     @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
+    def test_step_and_eval_forward_leave_the_batch_untouched(self, tmp_path, monkeypatch,
+                                                             target_mode):
+        """In multivariate mode one array is both histories, so neither a taped training
+        step over sub-batches nor an eval forward may write into a batch array."""
+        cfg, params, batch = sub_batch_case(tmp_path, target_mode)
+        assert np.shares_memory(batch.endo_history, batch.exo_history) == \
+            (target_mode == "multivariate")
+        before = [a.copy() for a in (batch.endo_history, batch.exo_history, batch.endo_future)]
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        tr.accumulate_gradients(params, batch, np.random.default_rng(12))
+        mdl.predictor(params, cfg)(batch.endo_history, batch.exo_history)
+        for got, want in zip((batch.endo_history, batch.exo_history, batch.endo_future), before):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
     def test_masks_replay_the_whole_batch_draw(self, tmp_path, monkeypatch, recorded_masks,
                                                target_mode):
         cfg, params, batch = sub_batch_case(tmp_path, target_mode)
