@@ -7,6 +7,12 @@ little-endian float64 values per tensor, in shape-table order. JSON keys
 are sorted and floats round-trip via repr, so identical state produces
 byte-identical files. This build writes and reads format version 2 only;
 a file of any other version is rejected with one IOFault.
+
+Saving writes each payload from the array's own memory. Loading reads the
+header length, then the rest of the file into one buffer, so no corrupt
+length can make it allocate more than the file holds. Each payload starts
+8 + nbytes after the one before, so a buffer placed to align the first
+aligns them all, and every tensor is a writable view of its payload there.
 """
 
 from __future__ import annotations
@@ -54,21 +60,9 @@ def save_checkpoint(path, params: XLinearParams, run_config: dict, scaler: dict,
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _, t in named:
-            raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
-
-
-def _read_exact(fh, n: int, what: str) -> bytearray:
-    """The next ``n`` bytes, read into one new writable buffer."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:  # checked before reading: a corrupt length must not allocate n bytes
-        raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, {left} left")
-    buf = bytearray(n)
-    got = fh.readinto(buf)
-    if got != n:
-        raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, got {got}")
-    return buf
+            raw = np.ascontiguousarray(t.data, dtype="<f8")  # no copy for a float64 leaf
+            fh.write(struct.pack("<Q", raw.nbytes))
+            fh.write(memoryview(raw))
 
 
 def _is_int(v) -> bool:
@@ -96,32 +90,66 @@ def _check_header(header, path):
             and isinstance(e.get("shape"), list)
             and all(_is_int(k) and k >= 0 for k in e["shape"]) for e in tensors)):
         raise corrupt("tensors must be a list of {name: string, shape: list of ints >= 0}")
+    names = [e["name"] for e in tensors]
+    if len(set(names)) != len(names):  # else a later payload would replace an earlier one
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise corrupt(f"tensor names repeat in the shape table: {repeated}")
+
+
+def _read_body(fh, hlen: int) -> np.ndarray:
+    """The rest of the file after its 8-byte header length, read into one buffer placed so
+    the first payload, ``hlen + 8`` bytes in, starts on an 8-byte boundary."""
+    n = max(os.fstat(fh.fileno()).st_size - 8, 0)
+    store = np.empty(n + 7, dtype=np.uint8)
+    pad = -(store.ctypes.data + hlen) % 8
+    body = store[pad:pad + n]
+    got = fh.readinto(body)
+    if got != n:  # the file shrank since fstat
+        raise IOFault(f"truncated checkpoint: expected {n} bytes after the header length, "
+                      f"got {got}")
+    return body
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read the header length, then the rest of ``path`` (:func:`_read_body`), and walk the
+    header, length prefixes and payloads over that one buffer."""
     try:
-        fh = open(path, "rb")
+        fh = open(path, "rb", buffering=0)
     except OSError as e:
         raise IOFault(f"cannot open checkpoint {path}: {e.strerror}") from e
     with fh:
-        (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
-        except (ValueError, UnicodeDecodeError, RecursionError) as e:
-            raise IOFault(f"corrupt checkpoint header in {path}: {e}") from e
-        _check_header(header, path)
-        tensors = {}
-        for entry in header["tensors"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            (nbytes,) = struct.unpack("<Q", _read_exact(fh, 8, f"length of {name}"))
-            expected = math.prod(shape) * 8
-            if nbytes != expected:
-                raise IOFault(f"tensor {name}: payload is {nbytes} bytes but shape "
-                              f"{shape} needs {expected}")
-            raw = _read_exact(fh, nbytes, f"payload of {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise IOFault(f"trailing bytes after last tensor in {path}")
+        head = fh.read(8)
+        if len(head) < 8:
+            raise IOFault(f"truncated checkpoint: expected 8 bytes for header length, "
+                          f"{len(head)} left")
+        (hlen,) = struct.unpack("<Q", head)
+        body = _read_body(fh, hlen)
+    pos = 0
+
+    def take(n: int, what: str) -> np.ndarray:
+        nonlocal pos
+        left = body.size - pos
+        if n > left:
+            raise IOFault(f"truncated checkpoint: expected {n} bytes for {what}, {left} left")
+        pos += n
+        return body[pos - n:pos]
+
+    try:
+        header = json.loads(take(hlen, "header").tobytes().decode("utf-8"))
+    except (ValueError, UnicodeDecodeError, RecursionError) as e:
+        raise IOFault(f"corrupt checkpoint header in {path}: {e}") from e
+    _check_header(header, path)
+    tensors = {}
+    for entry in header["tensors"]:
+        name, shape = entry["name"], tuple(entry["shape"])
+        (nbytes,) = struct.unpack("<Q", take(8, f"length of {name}"))
+        expected = math.prod(shape) * 8
+        if nbytes != expected:
+            raise IOFault(f"tensor {name}: payload is {nbytes} bytes but shape "
+                          f"{shape} needs {expected}")
+        tensors[name] = take(nbytes, f"payload of {name}").view("<f8").reshape(shape)
+    if pos != body.size:
+        raise IOFault(f"trailing bytes after last tensor in {path}")
     return Checkpoint(config=header["config"], tensors=tensors, scaler=header["scaler"],
                       meta=header["meta"])
 

@@ -147,8 +147,8 @@ def cmd_predict(args) -> int:
     out_path = os.path.join(run_cfg.out_dir, "forecast.csv")
     with dio.output_file(out_path) as fh:
         fh.write("step," + ",".join(ds.endo_names) + "\n")
-        for s in range(horizon):
-            fh.write(f"{s + 1}," + ",".join(repr(float(v)) for v in fc[:, s]) + "\n")
+        for s, row in enumerate(fc.T.tolist(), 1):  # Python floats: repr needs no cast
+            fh.write(f"{s}," + ",".join(map(repr, row)) + "\n")
     print(f"written: {out_path} ({horizon} steps x {ds.n_endo} variables)")
     return 0
 

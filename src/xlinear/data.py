@@ -448,8 +448,9 @@ def output_file(path, binary: bool = False):
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except OSError as e:
-        raise _cannot_write(path, e) from e
-    finally:
+    except BaseException as e:  # the write failed: drop its temp file, keep ``path``
         with contextlib.suppress(OSError):
-            os.remove(tmp)  # left only when the write failed
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise _cannot_write(path, e) from e
+        raise

@@ -535,13 +535,15 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     cache from the first GEMM through the second, and eval has the taped forward's bits.
     Under an active tape, or with dropout on, each block of ``x``'s rows is a ``split`` part
     run through ``matmul``, ``add`` and the hidden layer, then ``matmul``; the parts are
-    concatenated and ``b2`` is added. With dropout on the hidden layer is ``activation(h,
-    "relu", keep)`` with the block's rows of the keep mask :func:`dropout` would draw for the
-    whole hidden layer (for finite input, the two-op result up to the sign of a zero): it
-    overwrites the buffer the first GEMM or bias add made, which only this function holds,
-    and its pull writes the hidden gradient back into it once the second GEMM's pull has
-    read it; else it is ``activation(h, "relu")``. Otherwise each block is biased and
-    clipped in place and multiplied into its rows of one output.
+    concatenated and ``b2`` is added. A layer of one block takes no ``split`` or ``concat``:
+    its rows go straight to the first ``matmul`` and its part to the ``b2`` add. With
+    dropout on the hidden layer is ``activation(h, "relu", keep)`` with the block's rows of
+    the keep mask :func:`dropout` would draw for the whole hidden layer (for finite input,
+    the two-op result up to the sign of a zero): it overwrites the buffer the first GEMM or
+    bias add made, which only this function holds, and its pull writes the hidden gradient
+    back into it once the second GEMM's pull has read it; else it is ``activation(h,
+    "relu")``. Otherwise each block is biased and clipped in place and multiplied into its
+    rows of one output.
     """
     _check_rate(rate)
     _check_matmul(x.shape, w1.shape)
@@ -555,12 +557,14 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
             mask, c = _keep_scale(x.shape[:-1] + (width,), rate, rng)
             mask = mask.reshape(rows, width)
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        x2 = reshape(x, (rows, k))
         parts = []
-        for lo, xb in zip(bounds, split(reshape(x, (rows, k)), sizes, 0)):
+        for lo, xb in zip(bounds, split(x2, sizes, 0) if len(sizes) > 1 else (x2,)):
             h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1)
             keep = (mask[lo:lo + xb.shape[0]], c) if dropping else None
             parts.append(matmul(activation(h, "relu", keep), w2))
-        return reshape(add(concat(parts, 0), b2), x.shape[:-1] + (n,))
+        y = concat(parts, 0) if len(parts) > 1 else parts[0]
+        return reshape(add(y, b2), x.shape[:-1] + (n,))
     x2 = x.data.reshape(rows, k)
     out = np.empty((rows, n))
     for lo, hi in zip(bounds, bounds[1:]):

@@ -1,7 +1,10 @@
 """Checkpoint save/load round trips and corruption handling."""
 
+import contextlib
 import errno
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +73,64 @@ class TestRoundTrip:
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
         arrays[0][...] = 1.0
         assert not np.any(arrays[1] == 1.0)
+
+    def test_every_header_length_gives_aligned_disjoint_views(self, tmp_path):
+        """Headers of all eight lengths mod 8 (a config string one byte longer each time):
+        every loaded tensor is aligned to 8 bytes, C-contiguous, writable, disjoint from the
+        others and equal to what was saved."""
+        params = make_params(small_cfg(), seed=14)
+        residues = set()
+        for k in range(8):
+            path = tmp_path / f"ck{k}.bin"
+            ck.save_checkpoint(path, params, {**RUN_CFG, "note": "x" * k}, SCALER, META)
+            (hlen,) = struct.unpack("<Q", path.read_bytes()[:8])
+            residues.add(hlen % 8)
+            loaded = ck.load_checkpoint(path).tensors
+            arrays = list(loaded.values())
+            for name, t in params.named():
+                a = loaded[name]
+                assert a.ctypes.data % 8 == 0 and a.flags.aligned, (k, name)
+                assert a.flags.c_contiguous and a.flags.writeable, (k, name)
+                np.testing.assert_array_equal(a, t.data)
+            for i, a in enumerate(arrays):
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        assert residues == set(range(8))
+
+    def test_load_allocates_no_more_than_the_file(self, tmp_path):
+        """A header length of 2**62 is refused before anything of that size is allocated:
+        the one buffer holds the rest of the file, whatever its lengths claim."""
+        path = tmp_path / "ck.bin"
+        wide = small_cfg(d_model=64, t_ff=64, c_ff=64)
+        ck.save_checkpoint(path, make_params(wide, seed=15), RUN_CFG, SCALER, META)
+        raw = path.read_bytes()
+        path.write_bytes(struct.pack("<Q", 2 ** 62) + raw[8:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(IOFault, match=f"expected {2 ** 62} bytes for header, "
+                                              f"{len(raw) - 8} left"):
+                ck.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(raw) > 50_000 and peak < len(raw) + 16_384
+
+    def test_save_writes_each_payload_from_the_array_itself(self, tmp_path, monkeypatch):
+        """Each payload is written from a memoryview of the parameter's own array, not from
+        a ``tobytes`` copy."""
+        params = make_params(small_cfg(), seed=16)
+        writes = []
+
+        class Recorder:
+            def write(self, b):
+                writes.append(b)
+
+        monkeypatch.setattr(ck, "output_file", lambda path, binary: contextlib.nullcontext(
+            Recorder()))
+        ck.save_checkpoint(tmp_path / "ck.bin", params, RUN_CFG, SCALER, META)
+        payloads = writes[3::2]  # header length, header, then (length, payload) per tensor
+        assert len(payloads) == len(params.named())
+        for b, (_, t) in zip(payloads, params.named()):
+            assert isinstance(b, memoryview) and b.obj is t.data
 
     def test_identical_state_identical_bytes(self, tmp_path):
         cfg = small_cfg()
@@ -171,6 +232,29 @@ class TestValidation:
         path.write_bytes(struct.pack("<Q", len(body)) + body)
         with pytest.raises(IOFault, match="corrupt"):
             ck.load_checkpoint(path)
+
+    def test_repeated_tensor_name_is_a_corrupt_header(self, tmp_path, capsys):
+        """A shape table that names ``embed_endo_w`` twice, followed by a second payload of
+        7.0s, would load with the later payload in place of the first; it is refused as a
+        corrupt header, one ``error[io]`` line through ``predict``."""
+        path = tmp_path / "ck.bin"
+        ck.save_checkpoint(path, make_params(small_cfg()), RUN_CFG, SCALER, META)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        header = json.loads(raw[8:8 + hlen])
+        entry = next(e for e in header["tensors"] if e["name"] == "embed_endo_w")
+        header["tensors"].append(entry)
+        payload = np.full(entry["shape"], 7.0).tobytes()
+        blob = json.dumps(header).encode()
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + hlen:]
+                         + struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(IOFault, match=r"corrupt checkpoint header in .*: tensor names "
+                                          r"repeat in the shape table: \['embed_endo_w'\]"):
+            ck.load_checkpoint(path)
+        argv = ["predict", "--checkpoint", str(path), "--input", str(tmp_path / "absent.csv")]
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error[io]: corrupt checkpoint header")
 
     def test_payload_length_inconsistent_with_shape(self, tmp_path):
         path = tmp_path / "ck.bin"

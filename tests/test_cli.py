@@ -371,6 +371,29 @@ class TestMultivariate:
             got = np.array([[float(c) for c in ln.split(",")[1:]] for ln in lines[1:]])
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("values", ["trained", "edge"])
+    def test_forecast_text_is_the_per_value_repr(self, run, tmp_path, monkeypatch, capsys,
+                                                 values):
+        """``forecast.csv`` is byte for byte the text of ``repr(float(v))`` per value, for the
+        trained forecast and for values whose repr is easy to get wrong."""
+        edge = np.array([[-0.0, 5e-324, 1e16, 1 / 3], [1e-5, -2.5, 1e22, 0.1],
+                         [123456789.125, -1e-300, 2.0 ** 53 + 2, -7.0]])[None]
+        real = dio.inverse_scale_forecast
+        seen = []
+
+        def forecast(ds, yhat):
+            seen.append(real(ds, yhat) if values == "trained" else edge)
+            return seen[-1]
+
+        monkeypatch.setattr(dio, "inverse_scale_forecast", forecast)
+        assert cli.main(["predict", "--checkpoint", str(run["checkpoint"]),
+                         "--input", str(run["csv"]), "--out-dir", str(tmp_path)]) == 0
+        fc = seen[0][0]
+        want = "step,a,b,c\n" + "".join(
+            f"{s + 1}," + ",".join(repr(float(v)) for v in fc[:, s]) + "\n"
+            for s in range(fc.shape[1]))
+        assert (tmp_path / "forecast.csv").read_bytes() == want.encode()
+
     def test_eval_data_override_matches_in_process(self, run, tmp_path, capsys):
         assert cli.main(["eval", "--checkpoint", str(run["checkpoint"]),
                          "--data", str(run["csv"]), "--out-dir", str(tmp_path)]) == 0

@@ -376,6 +376,15 @@ class TestOutputFile:
         assert path.read_bytes() == b"x\n1\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
 
+    def test_successful_write_removes_nothing(self, tmp_path, monkeypatch):
+        """The rename leaves no temp file, so a write that succeeds calls no ``os.remove``."""
+        removed = []
+        monkeypatch.setattr(dio.os, "remove", removed.append)
+        path = tmp_path / "out.bin"
+        with dio.output_file(path, binary=True) as fh:
+            fh.write(b"bytes")
+        assert path.read_bytes() == b"bytes" and removed == []
+
     def test_failed_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "out.bin"
         path.write_bytes(b"earlier")

@@ -702,6 +702,50 @@ class TestMlp:
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_block_takes_no_split_or_concat(self, monkeypatch, bias, training):
+        """Under a tape a one-block layer (9 rows of width 8 in blocks of 8: the 1-row tail
+        joins the first block) runs its rows straight through ``matmul``, the bias ``add``
+        and the hidden layer, then ``matmul``, and its part straight to the ``b2`` add:
+        no ``split`` or ``concat`` node. Values, gradients and the Generator's end state
+        are the composition's bit for bit."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        assert tc._row_blocks(9, 8) == [0, 9]
+        w1, b1, w2, b2 = self.layers(bias=bias)
+        x = Tensor(np.random.default_rng(19).normal(size=(3, 3, 5)), requires_grad=True)
+        runs = []
+        for fused in (True, False):
+            rng = np.random.default_rng(20)
+            tape = Tape()
+            with record(tape):
+                if fused:
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, rng)
+                else:
+                    x2 = tc.reshape(x, (9, 5))
+                    h = x2 @ w1 + b1 if bias else x2 @ w1
+                    if training:
+                        keep, scale = lane_keep(rng, (3, 3, 8), 0.3)
+                        h = h * Tensor((keep.reshape(9, 8) & (h.data > 0.0)) * scale)
+                    else:
+                        h = tc.activation(h, "relu")
+                    y = tc.reshape(h @ w2 + b2, (3, 3, 3))
+                backward(tc.tsum(y * y), tape)
+            leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
+            runs.append(([pull.__qualname__.split(".")[0] for _, pull in tape.nodes], y.data,
+                         [t.grad for t in leaves], rng.bit_generator.state))
+            for t in leaves:
+                t.zero_grad()
+        (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
+        first = ["reshape", "matmul", *(["add"] if bias else [])]
+        last = ["matmul", "add", "reshape", "mul", "tsum"]
+        assert ops == first + ["activation"] + last
+        assert ref_ops == first + ["mul" if training else "activation"] + last
+        assert state == ref_state
+        np.testing.assert_array_equal(y, ref_y)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
     def test_dropout_without_a_tape_draws_like_the_composed_ops(self):
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(17).normal(size=(9, 5)))
