@@ -15,12 +15,11 @@ cache from one GEMM to the next. Eval computes each block in place and never
 holds the hidden layer at full size; under a tape each block is a chain of
 tape ops over the same rows, so eval has the taped forward's bits.
 
-Dropout draws its keep masks from a Generator, four 16-bit lanes per
-generator output, or replays them from a :class:`DropoutMasks`, which
-holds one batch's masks while the batch runs as several taped sub-batches.
-A mask stays bool, with one scalar survivor scale beside it. With dropout
-on, :func:`mlp` applies relu and dropout in place in each block's hidden
-buffer, and the pull writes the block's hidden gradient back into it.
+Dropout takes a bool keep mask drawn before the forward by :func:`draw_keep`,
+four 16-bit lanes per generator output, or a Generator to draw it from now,
+with one scalar survivor scale beside the mask. With dropout on, :func:`mlp`
+applies relu and dropout in place in each block's hidden buffer, and the
+pull writes the block's hidden gradient back into it.
 """
 
 from __future__ import annotations
@@ -434,67 +433,44 @@ def _check_rate(rate: float):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
 
 
-class DropoutMasks:
-    """The dropout keep masks of one batch of ``n`` windows, replayed over its sub-batches.
+def _lane_threshold(rate: float) -> int:
+    return min(round(rate * 65536), 65535)
 
-    Pass it as the ``rng`` of :func:`dropout` or :func:`mlp`. Each
-    dropout site draws its mask from ``rng`` the first time it runs, at whole-batch shape
-    ``(n, ...)``, and keeps it as bool; :meth:`start` points every site at the rows of the
-    next sub-batch. The sites run in one order in every sub-batch, so the Generator stream
-    and the masks are those of a single pass over the whole batch.
-    """
 
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.rng, self.n = rng, n
-        self.keep = []  # one bool [n x ...] mask per site, in call order
-        self.rows = slice(0, n)
-        self.site = 0
-
-    def start(self, rows: slice):
-        """Serve these rows of every site's mask, from the first site on."""
-        self.rows, self.site = rows, 0
+def draw_keep(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill the C-contiguous bool array ``out`` with the inverted-dropout keep mask at ``rate``
+    and return it. Each output of ``rng.bit_generator.random_raw`` gives four entries their
+    16-bit lanes, low bits first, and an entry is kept where its lane is at least ``t =
+    min(round(rate * 2**16), 2**16 - 1)``: the stream of one ``random_raw`` call of
+    ``ceil(out.size / 4)`` outputs, drawn in flat blocks of about ``MLP_BLOCK_FLOATS``
+    entries. Below ``rate = 1 - 2**-17`` the effective rate ``t / 2**16`` is within 2**-17
+    of ``rate``; above it ``t`` would round to 2**16 and keep nothing, so it keeps the top
+    lane."""
+    t = _lane_threshold(rate)
+    flat = out.reshape(-1)
+    step = max(MLP_BLOCK_FLOATS // 4, 1) * 4
+    for lo in range(0, flat.size, step):
+        block = flat[lo:lo + step]
+        raw = rng.bit_generator.random_raw(-(-block.size // 4))
+        np.greater_equal(raw.astype("<u8", copy=False).view("<u2")[:block.size], t, out=block)
+    return out
 
 
 def _keep_scale(shape: tuple, rate: float,
-                rng: np.random.Generator | DropoutMasks) -> tuple[np.ndarray, float]:
-    """The inverted-dropout keep mask of an input of ``shape`` as bool, and the survivor scale
-    ``c = 1 / (1 - t / 2**16)``, with ``t = min(round(rate * 2**16), 2**16 - 1)``.
-
-    Each output of ``rng.bit_generator.random_raw`` gives four entries their 16-bit lanes,
-    low bits first, and ``keep`` is ``lane >= t``: the stream of one ``random_raw`` call of
-    ``ceil(prod(shape) / 4)`` outputs, drawn in flat blocks of about ``MLP_BLOCK_FLOATS``
-    entries.
-    Below ``rate = 1 - 2**-17`` the effective rate ``t / 2**16`` is within 2**-17 of
-    ``rate``; above it ``t`` would round to 2**16 and keep nothing, so it keeps the top lane.
-    A Generator ``rng`` draws for ``shape`` alone; a :class:`DropoutMasks` draws the site's
-    whole-batch mask on its first call and hands out its current rows.
-    """
+                rng: np.random.Generator | np.ndarray) -> tuple[np.ndarray, float]:
+    """The keep mask ``rng``, or one drawn from the Generator ``rng`` for ``shape``, and the
+    survivor scale ``c = 1 / (1 - t / 2**16)`` of :func:`draw_keep`'s lane threshold ``t``."""
     if rng is None:
-        raise UsageError("dropout in training needs an rng, got None")
-    masks = rng if isinstance(rng, DropoutMasks) else DropoutMasks(rng, shape[0])
-    t = min(round(rate * 65536), 65535)
-    if masks.site == len(masks.keep):
-        full = np.empty(masks.n * math.prod(shape[1:]), dtype=bool)
-        step = max(MLP_BLOCK_FLOATS // 4, 1) * 4
-        for lo in range(0, full.size, step):
-            block = full[lo:lo + step]
-            raw = masks.rng.bit_generator.random_raw(-(-block.size // 4))
-            lanes = raw.astype("<u8", copy=False).view("<u2")[:block.size]
-            np.greater_equal(lanes, t, out=block)
-        masks.keep.append(full.reshape((masks.n,) + shape[1:]))
-    keep = masks.keep[masks.site][masks.rows]
-    masks.site += 1
-    if keep.shape != shape:
-        raise UsageError(f"dropout site {masks.site - 1} replays a {keep.shape} mask "
-                         f"onto a {shape} input")
-    return keep, 1.0 / (1.0 - t / 65536)
+        raise UsageError("dropout in training needs an rng or a keep mask, got None")
+    keep = rng if isinstance(rng, np.ndarray) else draw_keep(np.empty(shape, bool), rate, rng)
+    return keep, 1.0 / (1.0 - _lane_threshold(rate) / 65536)
 
 
 def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | DropoutMasks) -> Tensor:
-    """Inverted dropout at the lane rate ``t / 2**16`` of :func:`_keep_scale`: survivors
-    scaled by ``c = 1 / (1 - t / 2**16)``; identity in eval. Forward and pull multiply by
-    the bool mask, then by ``c``: the bits of one product with the float scale
+            rng: np.random.Generator | np.ndarray | None) -> Tensor:
+    """Inverted dropout with ``x``'s keep mask ``rng`` or one drawn from the Generator ``rng``:
+    survivors scaled by ``c`` of :func:`_keep_scale`; identity in eval. Forward and pull
+    multiply by the bool mask, then by ``c``: the bits of one product with the float scale
     ``keep · c``, zero signs and NaN included."""
     _check_rate(rate)
     if not training or rate == 0.0:
@@ -528,7 +504,7 @@ def _row_blocks(rows: int, width: int) -> list[int]:
 
 
 def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
-        rng: np.random.Generator | DropoutMasks) -> Tensor:
+        rng: np.random.Generator | np.ndarray | None) -> Tensor:
     """``dropout(relu(x @ w1 + b1)) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
 
     Both paths walk the row blocks of :func:`_row_blocks`, so a block's hidden layer stays in
@@ -538,12 +514,12 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     concatenated and ``b2`` is added. A layer of one block takes no ``split`` or ``concat``:
     its rows go straight to the first ``matmul`` and its part to the ``b2`` add. With
     dropout on the hidden layer is ``activation(h, "relu", keep)`` with the block's rows of
-    the keep mask :func:`dropout` would draw for the whole hidden layer (for finite input,
-    the two-op result up to the sign of a zero): it overwrites the buffer the first GEMM or
-    bias add made, which only this function holds, and its pull writes the hidden gradient
-    back into it once the second GEMM's pull has read it; else it is ``activation(h,
-    "relu")``. Otherwise each block is biased and clipped in place and multiplied into its
-    rows of one output.
+    the hidden layer's keep mask, ``rng`` or drawn from it as :func:`dropout` draws (for
+    finite input, the two-op result up to the sign of a zero): it overwrites the buffer the
+    first GEMM or bias add made, which only this function holds, and its pull writes the
+    hidden gradient back into it once the second GEMM's pull has read it; else it is
+    ``activation(h, "relu")``. Otherwise each block is biased and clipped in place and
+    multiplied into its rows of one output.
     """
     _check_rate(rate)
     _check_matmul(x.shape, w1.shape)

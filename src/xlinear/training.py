@@ -2,8 +2,9 @@
 
 Each optimizer batch runs as sub-batches of at most ``STEP_BLOCK_FLOATS``
 hidden floats whose gradients add up in the parameter leaves before one
-Adam step, so a training step never holds a full-size hidden layer. Each
-epoch's validation loss is :func:`xlinear.metrics.pooled_mse` over the
+Adam step, so a training step never holds a full-size hidden layer; each
+sub-batch reads its rows of dropout masks drawn for the whole batch first.
+Each epoch's validation loss is :func:`xlinear.metrics.pooled_mse` over the
 validation split, the same walk that ``evaluate`` scores.
 """
 
@@ -20,7 +21,7 @@ from . import data as dio
 from . import metrics as mx
 from . import model as mdl
 from .errors import ConfigError, DimensionError, NumericFault
-from .tensor import DropoutMasks, Tape, Tensor, backward, record, tsum
+from .tensor import Tape, Tensor, backward, draw_keep, record, tsum
 
 STEP_BLOCK_FLOATS = 1 << 19  # hidden floats per training sub-batch: 4 MB
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -170,26 +171,28 @@ def sub_batch_windows(cfg: mdl.ModelConfig) -> int:
 
 
 def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch,
-                         rng: np.random.Generator) -> float:
+                         rng: np.random.Generator, buffers: dict | None = None) -> float:
     """Add one batch's MSE gradient to the parameter leaves and return its loss.
 
     The batch runs as consecutive sub-batches of :func:`sub_batch_windows` windows, each
     taped, scored against the whole batch's entry count and pulled back on its own, so no
-    step holds a full-size hidden layer. The sub-batches share one :class:`DropoutMasks`,
-    so they see the masks, and leave ``rng`` in the state, of one whole-batch pass; only
-    the order in which gradient parts are summed differs.
+    step holds a full-size hidden layer. Each reads its rows of the masks that the sites of
+    :func:`xlinear.model.dropout_sites` draw first, into the leading rows of ``buffers`` (site
+    -> bool array) or new arrays: the masks, and ``rng``'s state after, of one whole-batch pass.
     """
     n, step = len(batch), sub_batch_windows(params.cfg)
-    masks = DropoutMasks(rng, n)
+    masks = {site: draw_keep(np.empty(shape, bool) if buffers is None else buffers[site][:n],
+                             rate, rng)
+             for site, (shape, rate) in mdl.dropout_sites(params.cfg, n).items()}
     total = 0.0
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         sub = dio.WindowBatch(batch.endo_history[rows], batch.exo_history[rows],
                               batch.endo_future[rows])
-        masks.start(rows)
         tape = Tape()
         with record(tape):
-            yhat, _ = mdl.forward(sub, params, training=True, rng=masks)
+            yhat, _ = mdl.forward(sub, params, training=True,
+                                  rng={site: keep[rows] for site, keep in masks.items()})
             loss = mse_loss(yhat, Tensor(sub.endo_future), batch.endo_future.size)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -216,6 +219,8 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
     stopper = EarlyStopper(train_cfg.patience)
     log = TrainLog()
     best_arrays = params.state_arrays()
+    sites = mdl.dropout_sites(model_cfg, min(train_cfg.batch_size, dio.n_windows(ds, "train", L, S)))
+    buffers = {site: np.empty(shape, bool) for site, (shape, _) in sites.items()}
 
     for e in range(train_cfg.max_epochs):
         t0 = time.perf_counter()
@@ -226,7 +231,7 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
                                    shuffle=True, rng=shuffle_rng)
         for bi, batch in enumerate(batches):
             try:
-                loss_val = accumulate_gradients(params, batch, dropout_rng)
+                loss_val = accumulate_gradients(params, batch, dropout_rng, buffers)
             except NumericFault as ex:
                 raise NumericFault(f"{ex} (epoch {e}, batch {bi})") from ex
             adam_step(params, state, lr)

@@ -439,6 +439,32 @@ class TestDropout:
         with pytest.raises(ConfigError):
             tc.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
 
+    def test_training_without_rng_or_mask_is_one_usage_error(self):
+        with pytest.raises(UsageError, match="needs an rng or a keep mask"):
+            tc.dropout(Tensor(np.ones(4)), 0.2, training=True, rng=None)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.75])
+    def test_a_mask_drawn_beforehand_gives_the_generator_draw(self, rate):
+        """``draw_keep`` fills the caller's bool buffer with the lanes ``dropout`` would draw
+        from the same Generator; handed the buffer, ``dropout`` multiplies by it in forward
+        and pull. 100002 entries span two draw blocks and end inside a generator output."""
+        x = Tensor(np.random.default_rng(40).normal(size=(7, 14286, 1)) + 2.0,
+                   requires_grad=True)
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        buf = np.ones(x.shape, bool)
+        assert tc.draw_keep(buf, rate, rng) is buf
+        keep, scale = lane_keep(twin, x.shape, rate)
+        np.testing.assert_array_equal(buf, keep)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        tape = Tape()
+        with record(tape):
+            y = tc.dropout(x, rate, training=True, rng=buf)
+            loss = tc.tsum(y)
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.data, x.data * np.where(keep, scale, 0.0))
+        np.testing.assert_array_equal(x.grad, np.where(keep, scale, 0.0))
+        assert rng.bit_generator.state == twin.bit_generator.state  # nothing more drawn
+
     def test_monte_carlo_mean_preserved(self):
         """Inverted scaling keeps E[output] = input within 2% at 10k draws."""
         rng = np.random.default_rng(123)
@@ -560,10 +586,14 @@ def bits(a) -> np.ndarray:
 SPECIAL = np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf·0 in SPECIAL
 class TestMaskedRelu:
     """``activation(x, "relu", keep=(mask, c))``: relu and inverted dropout in ``x``'s own
     buffer, with the pull's gradient written back into it."""
+
+    @pytest.fixture(autouse=True)
+    def inf_times_zero_is_meant(self):
+        with np.errstate(invalid="ignore"):  # SPECIAL's inf·0 makes NaN without a warning
+            yield
 
     @staticmethod
     def case(seed=20):
@@ -752,6 +782,20 @@ class TestMlp:
         rng_a, rng_b = np.random.default_rng(18), np.random.default_rng(18)
         got = tc.mlp(x, w1, b1, w2, b2, 0.5, training=True, rng=rng_a)
         want = tc.dropout(tc.activation(x @ w1 + b1, "relu"), 0.5, True, rng_b) @ w2 + b2
+        np.testing.assert_array_equal(got.data, want.data)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_a_hidden_mask_drawn_beforehand_gives_the_generator_draw(self, taped):
+        """Handed the keep mask of its whole hidden layer, ``mlp`` gives the bits of drawing
+        it from the Generator: 300 rows of width 512 walk three row blocks."""
+        w1, b1, w2, b2 = self.layers(width=512)
+        x = Tensor(np.random.default_rng(19).normal(size=(3, 100, 5)))
+        rng_a, rng_b = np.random.default_rng(20), np.random.default_rng(20)
+        mask = tc.draw_keep(np.empty((3, 100, 512), bool), 0.4, rng_b)
+        with record(Tape()) if taped else contextlib.nullcontext():
+            got = tc.mlp(x, w1, b1, w2, b2, 0.4, training=True, rng=rng_a)
+            want = tc.mlp(x, w1, b1, w2, b2, 0.4, training=True, rng=mask)
         np.testing.assert_array_equal(got.data, want.data)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 

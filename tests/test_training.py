@@ -380,15 +380,14 @@ def force_sub_batch_windows(monkeypatch, cfg, windows):
 
 @pytest.fixture
 def recorded_masks(monkeypatch):
-    """Every DropoutMasks that training makes, in order."""
-    made = []
+    """(keep mask, rate) of every dropout site that training draws, in draw order."""
+    made, real_draw_keep = [], tr.draw_keep
 
-    class Recorded(tc.DropoutMasks):
-        def __init__(self, rng, n):
-            super().__init__(rng, n)
-            made.append(self)
+    def draw_keep(out, rate, rng):
+        made.append((real_draw_keep(out, rate, rng), rate))
+        return out
 
-    monkeypatch.setattr(tr, "DropoutMasks", Recorded)
+    monkeypatch.setattr(tr, "draw_keep", draw_keep)
     return made
 
 
@@ -407,10 +406,10 @@ def sub_batch_case(tmp_path, target_mode, n=30, **model):
     return cfg, mdl.XLinearParams(cfg, np.random.default_rng(3)), batch
 
 
-def batch_grads(params, batch, rng):
+def batch_grads(params, batch, rng, buffers=None):
     for p in params.all():
         p.zero_grad()
-    loss = tr.accumulate_gradients(params, batch, rng)
+    loss = tr.accumulate_gradients(params, batch, rng, buffers)
     return loss, {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
 
 
@@ -475,13 +474,12 @@ class TestSubBatches:
         rng = np.random.default_rng(11)
         twin = copy.deepcopy(rng)
         tr.accumulate_gradients(params, batch, rng)
-        (masks,) = recorded_masks
         n, m, c, d = len(batch), cfg.n_endo, cfg.n_exo, cfg.d_model
         sites = [((n, m, d), cfg.embed_dropout), ((n, c, d), cfg.embed_dropout),
                  ((n, m, cfg.t_ff), cfg.t_dropout), ((n, d, cfg.c_ff), cfg.c_dropout),
                  ((n, m, 2 * d), cfg.head_dropout)]
-        assert [k.shape for k in masks.keep] == [shape for shape, _ in sites]
-        for keep, (shape, rate) in zip(masks.keep, sites):
+        assert [(k.shape, rate) for k, rate in recorded_masks] == sites
+        for (keep, _), (shape, rate) in zip(recorded_masks, sites):
             assert keep.dtype == bool and np.array_equal(keep, lane_keep(twin, shape, rate)[0])
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -494,10 +492,9 @@ class TestSubBatches:
                                             t_dropout=t_rate, c_dropout=c_rate,
                                             head_dropout=head_rate)
         tr.accumulate_gradients(params, batch, np.random.default_rng(14))
-        (masks,) = recorded_masks
-        site_rates = (embed, embed, t_rate, c_rate, head_rate)
-        assert len(masks.keep) == len(site_rates)
-        for keep, rate in zip(masks.keep, site_rates):
+        site_rates = [embed, embed, t_rate, c_rate, head_rate]
+        assert [rate for _, rate in recorded_masks] == site_rates
+        for keep, rate in recorded_masks:
             p = 1.0 - round(rate * 65536) / 65536
             sigma = math.sqrt(p * (1.0 - p) / keep.size)
             assert abs(keep.mean() - p) <= 5.0 * sigma, (rate, keep.size, keep.mean())
@@ -509,7 +506,7 @@ class TestSubBatches:
         rng = np.random.default_rng(12)
         state = copy.deepcopy(rng.bit_generator.state)
         tr.accumulate_gradients(params, batch, rng)
-        assert [m.keep for m in recorded_masks] == [[]]
+        assert recorded_masks == []
         assert rng.bit_generator.state == state
 
     def test_ragged_split_and_short_last_batch(self, tmp_path, monkeypatch):
@@ -614,6 +611,86 @@ class TestSubBatches:
             assert np.array_equal(p.data.view(np.uint64), ref.data.view(np.uint64)), name
         assert [(r.train_loss, r.val_loss) for r in log.records] == \
             [(r.train_loss, r.val_loss) for r in ref_log.records]
+
+
+def site_case(tmp_path, mode, n=30, **model):
+    """``sub_batch_case`` in a target mode, or with no exogenous channel for ``"no-exo"``."""
+    if mode != "no-exo":
+        return sub_batch_case(tmp_path, mode, n, **model)
+    cfg = mdl.ModelConfig(n_endo=2, n_exo=0, **{**SUB_BATCH_MODEL, **model})
+    data = np.random.default_rng(15)
+    batch = dio.WindowBatch(data.normal(size=(n, 2, 16)), np.zeros((n, 0, 16)),
+                            data.normal(size=(n, 2, 4)))
+    return cfg, mdl.XLinearParams(cfg, np.random.default_rng(3)), batch
+
+
+class TestDropoutSites:
+    @pytest.mark.parametrize("ablation", mdl.ABLATIONS)
+    @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
+    @pytest.mark.parametrize("mode", ["multivariate", "last-column-endogenous", "no-exo"])
+    def test_table_is_what_a_taped_forward_draws(self, tmp_path, monkeypatch, recorded_masks,
+                                                 mode, gate, ablation):
+        """``dropout_sites`` lists the (shape, rate) of each mask a taped training forward
+        with a Generator draws, in its order; the masks a sub-batched step draws for the
+        table are the twin Generator's lanes and those of that forward."""
+        cfg, params, batch = site_case(tmp_path, mode, gate_activation=gate, ablation=ablation)
+        sites = list(mdl.dropout_sites(cfg, len(batch)).values())
+        assert len(sites) == 5 and sites[1][0][1] == cfg.n_exo
+        drawn, real_draw_keep = [], tc.draw_keep
+
+        def draw_keep(out, rate, rng):
+            drawn.append((out.shape, rate, real_draw_keep(out, rate, rng)))
+            return out
+
+        monkeypatch.setattr(tc, "draw_keep", draw_keep)
+        with tc.record(tc.Tape()):
+            mdl.forward(batch, params, training=True, rng=np.random.default_rng(16))
+        assert [(shape, rate) for shape, rate, _ in drawn] == sites
+
+        force_sub_batch_windows(monkeypatch, cfg, 8)
+        rng = np.random.default_rng(16)
+        twin = copy.deepcopy(rng)
+        tr.accumulate_gradients(params, batch, rng)
+        assert [(keep.shape, rate) for keep, rate in recorded_masks] == sites
+        for (keep, _), (shape, rate), (*_, taped) in zip(recorded_masks, sites, drawn):
+            want = lane_keep(twin, shape, rate)[0]
+            assert np.array_equal(keep, want) and np.array_equal(taped, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_zero_rate_sites_are_left_out(self):
+        cfg = mdl.ModelConfig(horizon=4, n_endo=2, n_exo=3, lookback=16, d_model=8, t_ff=16,
+                              c_ff=12, embed_dropout=0.0, t_dropout=0.2, c_dropout=0.0,
+                              head_dropout=0.1)
+        assert mdl.dropout_sites(cfg, 5) == {"tgm": ((5, 2, 16), 0.2), "head": ((5, 2, 16), 0.1)}
+
+    def test_a_short_batch_draws_into_the_leading_rows_of_the_buffers(self, tmp_path,
+                                                                      recorded_masks):
+        """Buffers sized for 40 windows serve a 30-window batch with their first 30 rows and
+        give the gradients of masks drawn into new arrays."""
+        cfg, params, batch = sub_batch_case(tmp_path, "multivariate")
+        buffers = {site: np.ones(shape, bool)
+                   for site, (shape, _) in mdl.dropout_sites(cfg, 40).items()}
+        loss, got = batch_grads(params, batch, np.random.default_rng(17), buffers)
+        want_loss, want = batch_grads(params, batch, np.random.default_rng(17))
+        assert loss == want_loss
+        for name, g in got.items():
+            assert np.array_equal(g, want[name]), name
+        for (keep, _), buf in zip(recorded_masks, buffers.values()):
+            assert keep.base is buf and keep.shape == (30,) + buf.shape[1:]
+
+    def test_a_run_draws_every_batch_into_one_buffer_per_site(self, tmp_path, recorded_masks):
+        """One ``train`` epoch of 121-window batches and a shorter last batch draws each
+        site's mask into the same buffer every batch."""
+        cfg, _, _ = sub_batch_case(tmp_path, "last-column-endogenous")
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", "last-column-endogenous"),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1), ds, echo=False)
+        full, last = divmod(dio.n_windows(ds, "train", 16, 4), 121)
+        assert full >= 1 and last > 0 and len(recorded_masks) == 5 * (full + 1)
+        for site in range(5):
+            draws = [keep for keep, _ in recorded_masks[site::5]]
+            assert len({keep.base.ctypes.data for keep in draws}) == 1
+            assert [len(keep) for keep in draws] == [121] * full + [last]
 
 
 class TestValidationLoss:
