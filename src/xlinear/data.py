@@ -111,6 +111,8 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
     except csv.Error as e:  # e.g. a cell over the csv module's field size limit
         raise DataError(f"{path}: unreadable CSV ({e})") from None
     names = parsed[0]
+    if "" in names:  # a name that is blank once stripped
+        raise DataError(f"{path}: value column {names.index('') + 1} has an empty name in header")
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise DataError(f"{path}: repeated column name {repeated[0]!r} in header")

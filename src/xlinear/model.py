@@ -141,7 +141,8 @@ class XLinearParams:
 
 def dropout_sites(cfg: ModelConfig, n: int) -> dict:
     """(keep mask shape, rate) of the dropout sites of a training forward over ``n`` windows,
-    by name in draw order; a rate-0 site draws nothing and is left out."""
+    by name in draw order; a rate-0 site draws nothing and is left out. A training forward
+    reads its masks from a table with these names and shapes."""
     M, C, d = cfg.n_endo, cfg.n_exo, cfg.d_model
     sites = {"embed_endo": ((n, M, d), cfg.embed_dropout),
              "embed_exo": ((n, C, d), cfg.embed_dropout),
@@ -149,11 +150,6 @@ def dropout_sites(cfg: ModelConfig, n: int) -> dict:
              "vgm": ((n, d, cfg.c_ff), cfg.c_dropout),
              "head": ((n, M, 2 * d), cfg.head_dropout)}
     return {name: site for name, site in sites.items() if site[1] > 0.0}
-
-
-def _site_rng(rng, site: str):
-    """A Generator or None as is, else ``site``'s keep mask in the table ``rng``."""
-    return rng.get(site) if isinstance(rng, dict) else rng
 
 
 @dataclass
@@ -205,7 +201,7 @@ def revin_denormalize(yhat: Tensor, stats: RevinStats, affine=None) -> Tensor:
 
 
 def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool = False,
-          rng: np.random.Generator | dict | None = None):
+          masks: dict | None = None):
     """Project each variable's L-length history to d_model features."""
     cfg = params.cfg
     if x_endo.shape[-1] != cfg.lookback or e_exo.shape[-1] != cfg.lookback:
@@ -214,8 +210,8 @@ def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool =
             f"exo {e_exo.shape}")
     x = x_endo @ params.embed_endo_w + params.embed_endo_b
     e = e_exo @ params.embed_exo_w + params.embed_exo_b
-    x = tc.dropout(x, cfg.embed_dropout, training, _site_rng(rng, "embed_endo"))
-    e = tc.dropout(e, cfg.embed_dropout, training, _site_rng(rng, "embed_exo"))
+    x = tc.dropout(x, cfg.embed_dropout, training, (masks or {}).get("embed_endo"))
+    e = tc.dropout(e, cfg.embed_dropout, training, (masks or {}).get("embed_exo"))
     return x, e
 
 
@@ -230,12 +226,12 @@ def attach_global_tokens(x_endo: Tensor, global_tokens: Tensor) -> Tensor:
 
 
 def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
-        rng: np.random.Generator | dict | None = None):
+        masks: dict | None = None):
     """Time-wise gating: one MLP over the 2*d_model axis, shared by all
     variables, whose activated output reweights the token sequence."""
     cfg = params.cfg
     h = tc.mlp(x_endo_tok, params.tgm_w1, params.tgm_b1, params.tgm_w2, params.tgm_b2,
-               cfg.t_dropout, training, _site_rng(rng, "tgm"))
+               cfg.t_dropout, training, (masks or {}).get("tgm"))
     gate = tc.activation(h, cfg.gate_activation)
     gated = gate * x_endo_tok
     x_endo, x_glob = tc.split(gated, (cfg.d_model, cfg.d_model), axis=-1)
@@ -243,7 +239,7 @@ def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
 
 
 def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-        rng: np.random.Generator | dict | None = None):
+        masks: dict | None = None):
     """Variate-wise gating: an MLP over the stacked (C+M)-channel axis gates the M global
     tokens, the only rows the forecast reads.
 
@@ -260,7 +256,7 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     t = tc.transpose(tc.concat([e_exo, x_glob, ones], axis=1))  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
     h = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
-               _site_rng(rng, "vgm"))
+               (masks or {}).get("vgm"))
     gate = tc.activation(h, cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
@@ -269,14 +265,14 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
 
 
 def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-         rng: np.random.Generator | dict | None = None) -> Tensor:
+         masks: dict | None = None) -> Tensor:
     """Channel-independent linear map from fused features to S steps.
 
     Output stays in the normalized space; the caller denormalizes.
     """
     cfg = params.cfg
     z = tc.concat([x_endo, x_glob], axis=-1)
-    z = tc.dropout(z, cfg.head_dropout, training, _site_rng(rng, "head"))
+    z = tc.dropout(z, cfg.head_dropout, training, (masks or {}).get("head"))
     return z @ params.head_w + params.head_b
 
 
@@ -286,13 +282,13 @@ def _check_finite(data: np.ndarray, stage: str):
 
 
 def forward(batch, params: XLinearParams, training: bool = False,
-            rng: np.random.Generator | dict | None = None):
+            masks: dict | None = None):
     """Full forward pass over one WindowBatch.
 
     Returns the denormalized prediction tensor [batch x M x S] and a ForwardTrace. Ablations
     blank one half of the head input: endo_only keeps the temporally gated endogenous
-    features, global_only keeps the exogenous-informed global tokens. In training ``rng`` is
-    a Generator to draw from or the keep masks of :func:`dropout_sites` by name.
+    features, global_only keeps the exogenous-informed global tokens. In training ``masks``
+    holds the keep mask of each site of :func:`dropout_sites`, by name.
     """
     cfg = params.cfg
     x_raw = Tensor(batch.endo_history)
@@ -309,22 +305,22 @@ def forward(batch, params: XLinearParams, training: bool = False,
     en, _ = revin_normalize(e_raw, None)  # stats discarded, never denormalized
     _check_finite(xn.data, "revin")
 
-    x_emb, e_emb = embed(xn, en, params, training, rng)
+    x_emb, e_emb = embed(xn, en, params, training, masks)
     _check_finite(x_emb.data, "embed")
     tok = attach_global_tokens(x_emb, params.global_tokens)
 
-    x_endo, x_glob, time_gate = tgm(tok, params, training, rng)
+    x_endo, x_glob, time_gate = tgm(tok, params, training, masks)
     _check_finite(time_gate.data, "tgm")
 
-    x_glob2, variate_gate = vgm(e_emb, x_glob, params, training, rng)
+    x_glob2, variate_gate = vgm(e_emb, x_glob, params, training, masks)
     _check_finite(variate_gate.data, "vgm")
 
     if cfg.ablation == "endo_only":
-        yhat_n = head(x_endo, Tensor(np.zeros_like(x_endo.data)), params, training, rng)
+        yhat_n = head(x_endo, Tensor(np.zeros_like(x_endo.data)), params, training, masks)
     elif cfg.ablation == "global_only":
-        yhat_n = head(Tensor(np.zeros_like(x_glob2.data)), x_glob2, params, training, rng)
+        yhat_n = head(Tensor(np.zeros_like(x_glob2.data)), x_glob2, params, training, masks)
     else:
-        yhat_n = head(x_endo, x_glob2, params, training, rng)
+        yhat_n = head(x_endo, x_glob2, params, training, masks)
     _check_finite(yhat_n.data, "head")
 
     yhat = revin_denormalize(yhat_n, stats, affine)

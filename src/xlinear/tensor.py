@@ -15,11 +15,11 @@ cache from one GEMM to the next. Eval computes each block in place and never
 holds the hidden layer at full size; under a tape each block is a chain of
 tape ops over the same rows, so eval has the taped forward's bits.
 
-Dropout takes a bool keep mask drawn before the forward by :func:`draw_keep`,
-four 16-bit lanes per generator output, or a Generator to draw it from now,
-with one scalar survivor scale beside the mask. With dropout on, :func:`mlp`
-applies relu and dropout in place in each block's hidden buffer, and the
-pull writes the block's hidden gradient back into it.
+Dropout reads a bool keep mask of its site's shape, drawn before the forward
+by :func:`draw_keep` from four 16-bit lanes per generator output, with one
+scalar survivor scale beside the mask; no op draws. With dropout on,
+:func:`mlp` applies relu and dropout in place in each block's hidden buffer,
+and the pull writes the block's hidden gradient back into it.
 """
 
 from __future__ import annotations
@@ -456,26 +456,25 @@ def draw_keep(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def _keep_scale(shape: tuple, rate: float,
-                rng: np.random.Generator | np.ndarray) -> tuple[np.ndarray, float]:
-    """The keep mask ``rng``, or one drawn from the Generator ``rng`` for ``shape``, and the
-    survivor scale ``c = 1 / (1 - t / 2**16)`` of :func:`draw_keep`'s lane threshold ``t``."""
-    if rng is None:
-        raise UsageError("dropout in training needs an rng or a keep mask, got None")
-    keep = rng if isinstance(rng, np.ndarray) else draw_keep(np.empty(shape, bool), rate, rng)
-    return keep, 1.0 / (1.0 - _lane_threshold(rate) / 65536)
+def _keep_scale(keep: np.ndarray | None, shape: tuple, rate: float) -> float:
+    """The survivor scale ``c = 1 / (1 - t / 2**16)`` of :func:`draw_keep`'s lane threshold
+    ``t`` at ``rate``, once ``keep`` is checked to be a mask of the site's ``shape``."""
+    if keep is None:
+        raise UsageError("dropout in training needs a keep mask, got None")
+    if keep.shape != shape:
+        raise DimensionError(f"keep mask shape {keep.shape} does not match its site {shape}")
+    return 1.0 / (1.0 - _lane_threshold(rate) / 65536)
 
 
-def dropout(x: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | np.ndarray | None) -> Tensor:
-    """Inverted dropout with ``x``'s keep mask ``rng`` or one drawn from the Generator ``rng``:
-    survivors scaled by ``c`` of :func:`_keep_scale`; identity in eval. Forward and pull
-    multiply by the bool mask, then by ``c``: the bits of one product with the float scale
-    ``keep · c``, zero signs and NaN included."""
+def dropout(x: Tensor, rate: float, training: bool, keep: np.ndarray | None) -> Tensor:
+    """Inverted dropout by ``x``'s bool keep mask ``keep``: survivors scaled by ``c`` of
+    :func:`_keep_scale`; identity in eval. Forward and pull multiply by the bool mask, then
+    by ``c``: the bits of one product with the float scale ``keep · c``, zero signs and NaN
+    included."""
     _check_rate(rate)
     if not training or rate == 0.0:
         return x
-    keep, c = _keep_scale(x.shape, rate, rng)
+    c = _keep_scale(keep, x.shape, rate)
     y = x.data * keep
     y *= c
     out = _out(y, x)
@@ -504,7 +503,7 @@ def _row_blocks(rows: int, width: int) -> list[int]:
 
 
 def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
-        rng: np.random.Generator | np.ndarray | None) -> Tensor:
+        keep: np.ndarray | None) -> Tensor:
     """``dropout(relu(x @ w1 + b1)) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
 
     Both paths walk the row blocks of :func:`_row_blocks`, so a block's hidden layer stays in
@@ -513,13 +512,13 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     run through ``matmul``, ``add`` and the hidden layer, then ``matmul``; the parts are
     concatenated and ``b2`` is added. A layer of one block takes no ``split`` or ``concat``:
     its rows go straight to the first ``matmul`` and its part to the ``b2`` add. With
-    dropout on the hidden layer is ``activation(h, "relu", keep)`` with the block's rows of
-    the hidden layer's keep mask, ``rng`` or drawn from it as :func:`dropout` draws (for
-    finite input, the two-op result up to the sign of a zero): it overwrites the buffer the
-    first GEMM or bias add made, which only this function holds, and its pull writes the
-    hidden gradient back into it once the second GEMM's pull has read it; else it is
-    ``activation(h, "relu")``. Otherwise each block is biased and clipped in place and
-    multiplied into its rows of one output.
+    dropout on the hidden layer is ``activation(h, "relu", (block, c))`` with ``block`` the
+    block's rows of ``keep``, the hidden layer's mask (for finite input, :func:`dropout` of
+    relu up to the sign of a zero): it overwrites the buffer the first GEMM or bias add
+    made, which only this function holds, and its pull writes the hidden gradient back into
+    it once the second GEMM's pull has read it; else it is ``activation(h, "relu")``.
+    Otherwise each block is biased and clipped in place and multiplied into its rows of one
+    output.
     """
     _check_rate(rate)
     _check_matmul(x.shape, w1.shape)
@@ -530,15 +529,15 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     dropping = training and rate > 0.0
     if _active_tape is not None or dropping:
         if dropping:
-            mask, c = _keep_scale(x.shape[:-1] + (width,), rate, rng)
-            mask = mask.reshape(rows, width)
+            c = _keep_scale(keep, x.shape[:-1] + (width,), rate)
+            mask = keep.reshape(rows, width)
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         x2 = reshape(x, (rows, k))
         parts = []
         for lo, xb in zip(bounds, split(x2, sizes, 0) if len(sizes) > 1 else (x2,)):
             h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1)
-            keep = (mask[lo:lo + xb.shape[0]], c) if dropping else None
-            parts.append(matmul(activation(h, "relu", keep), w2))
+            block = (mask[lo:lo + xb.shape[0]], c) if dropping else None
+            parts.append(matmul(activation(h, "relu", block), w2))
         y = concat(parts, 0) if len(parts) > 1 else parts[0]
         return reshape(add(y, b2), x.shape[:-1] + (n,))
     x2 = x.data.reshape(rows, k)
@@ -595,7 +594,7 @@ class GradCheckReport:
 def grad_check(f, params, step: float = 1e-5, rel_tol: float = 1e-5) -> GradCheckReport:
     """Compare autodiff grads of ``f()`` with (f(θ+h)-f(θ-h))/2h per entry.
 
-    ``f`` must be deterministic under fixed rng and return a scalar
+    ``f`` must be deterministic (dropout by fixed masks) and return a scalar
     Tensor built from ``params``. An entry passes when
     |ad - fd| <= rel_tol*(1e-3 + |fd|), and that ratio is the reported relative
     error; the 1e-3 floor guards entries whose true gradient sits at FD noise level.

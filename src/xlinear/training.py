@@ -3,7 +3,8 @@
 Each optimizer batch runs as sub-batches of at most ``STEP_BLOCK_FLOATS``
 hidden floats whose gradients add up in the parameter leaves before one
 Adam step, so a training step never holds a full-size hidden layer; each
-sub-batch reads its rows of dropout masks drawn for the whole batch first.
+sub-batch reads its rows of the dropout masks that :func:`train` draws for
+the whole batch first, the one place a Generator becomes masks.
 Each epoch's validation loss is :func:`xlinear.metrics.pooled_mse` over the
 validation split, the same walk that ``evaluate`` scores.
 """
@@ -170,20 +171,15 @@ def sub_batch_windows(cfg: mdl.ModelConfig) -> int:
     return max(1, STEP_BLOCK_FLOATS // max(cfg.d_model * cfg.c_ff, cfg.n_endo * cfg.t_ff))
 
 
-def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch,
-                         rng: np.random.Generator, buffers: dict | None = None) -> float:
+def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch, masks: dict) -> float:
     """Add one batch's MSE gradient to the parameter leaves and return its loss.
 
     The batch runs as consecutive sub-batches of :func:`sub_batch_windows` windows, each
     taped, scored against the whole batch's entry count and pulled back on its own, so no
-    step holds a full-size hidden layer. Each reads its rows of the masks that the sites of
-    :func:`xlinear.model.dropout_sites` draw first, into the leading rows of ``buffers`` (site
-    -> bool array) or new arrays: the masks, and ``rng``'s state after, of one whole-batch pass.
+    step holds a full-size hidden layer. Each reads its rows of ``masks``, the whole batch's
+    keep mask of each site of :func:`xlinear.model.dropout_sites`, by name.
     """
     n, step = len(batch), sub_batch_windows(params.cfg)
-    masks = {site: draw_keep(np.empty(shape, bool) if buffers is None else buffers[site][:n],
-                             rate, rng)
-             for site, (shape, rate) in mdl.dropout_sites(params.cfg, n).items()}
     total = 0.0
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
@@ -192,7 +188,7 @@ def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch,
         tape = Tape()
         with record(tape):
             yhat, _ = mdl.forward(sub, params, training=True,
-                                  rng={site: keep[rows] for site, keep in masks.items()})
+                                  masks={site: keep[rows] for site, keep in masks.items()})
             loss = mse_loss(yhat, Tensor(sub.endo_future), batch.endo_future.size)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -230,8 +226,10 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
         batches = dio.iter_batches(ds, "train", L, S, train_cfg.batch_size,
                                    shuffle=True, rng=shuffle_rng)
         for bi, batch in enumerate(batches):
+            masks = {site: draw_keep(buffers[site][:len(batch)], rate, dropout_rng)
+                     for site, (_, rate) in sites.items()}
             try:
-                loss_val = accumulate_gradients(params, batch, dropout_rng, buffers)
+                loss_val = accumulate_gradients(params, batch, masks)
             except NumericFault as ex:
                 raise NumericFault(f"{ex} (epoch {e}, batch {bi})") from ex
             adam_step(params, state, lr)

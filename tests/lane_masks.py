@@ -1,8 +1,10 @@
-"""Reference dropout keep masks, drawn from a twin Generator with no library code."""
+"""Reference dropout keep masks, drawn from a twin Generator with no library draw code."""
 
 import math
 
 import numpy as np
+
+from xlinear import model as mdl
 
 
 def lane_keep(rng: np.random.Generator, shape, rate: float):
@@ -19,3 +21,11 @@ def lane_keep(rng: np.random.Generator, shape, rate: float):
                      axis=-1).reshape(-1)[:size]
     t = min(round(rate * 65536), 65535)
     return (lanes >= t).reshape(shape), 1.0 / (1.0 - t / 65536)
+
+
+def lane_table(rng: np.random.Generator, cfg: mdl.ModelConfig, n: int) -> dict:
+    """The keep masks of every site of ``dropout_sites(cfg, n)`` by name, each drawn by
+    :func:`lane_keep` in the table's order: the masks ``train`` draws for an ``n``-window
+    batch from a Generator in ``rng``'s state."""
+    return {site: lane_keep(rng, shape, rate)[0]
+            for site, (shape, rate) in mdl.dropout_sites(cfg, n).items()}

@@ -771,6 +771,22 @@ class TestErrors:
             f"error[data]: {bad}: repeated column name 'x' in header\n"
 
     @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("header", ["date,a,,y", "date,a,b,"])
+    def test_an_empty_column_name_is_one_data_error(self, trained, tmp_path, capsys, command,
+                                                    header):
+        """A blank name would head an empty forecast column or a ``glob_`` gate row, so it
+        is refused before any output is written."""
+        values = np.random.default_rng(0).normal(size=(200, 3))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + [
+            "2020-01-01," + ",".join(repr(float(v)) for v in row) for row in values]) + "\n")
+        assert cli.main(csv_argv(command, trained, tmp_path, bad)) == 3
+        column = header.split(",").index("")
+        assert capsys.readouterr().err == \
+            f"error[data]: {bad}: value column {column} has an empty name in header\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"],
                              ids=["comma", "quote", "cr", "lf"])
     def test_column_name_an_output_cannot_carry_is_one_data_error(self, trained, tmp_path,

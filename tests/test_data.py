@@ -61,6 +61,23 @@ class TestLoadCsv:
         ds = dio.load_csv(p, "multivariate")
         assert ds.values.shape == (9, 2)
 
+    @pytest.mark.parametrize("header,column", [("date,a,,b", 2), ("date,a,b,", 3),
+                                               ("date,a, ,b", 2), (",a,b", 1)])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_an_empty_column_name_is_one_data_error(self, tmp_path, header, column, quoted):
+        """A header name that is blank once stripped is refused on both parse paths before
+        it can name a forecast column or a gate row."""
+        stamp = "2020-01-01," if header.startswith("date,") else ""
+        cells = len(header.split(",")) - bool(stamp)
+        rows = [stamp + ",".join(str(i + j * 0.5) for j in range(cells)) for i in range(9)]
+        lines = [header] + rows
+        if quoted:  # only the csv scan reads quoted cells
+            lines = [",".join(f'"{c}"' for c in line.split(",")) for line in lines]
+        p = tmp_path / "blank.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"value column {column} has an empty name"):
+            dio.read_csv_values(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             dio.load_csv(tmp_path / "absent.csv")
@@ -481,4 +498,7 @@ class TestTwoCsvPaths:
         path = tmp_path_factory.getbasetemp() / "paths.csv"
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
         got = _outcome(lambda: dio.read_csv_values(path, limit))
-        assert got == _outcome(lambda: dio._scan_values(path, text, limit, "date")), text
+        want = _outcome(lambda: dio._scan_values(path, text, limit, "date"))
+        if not isinstance(want, str) and "" in want[0]:  # refused after either parse
+            want = f"{path}: value column {want[0].index('') + 1} has an empty name in header"
+        assert got == want, text

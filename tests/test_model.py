@@ -13,6 +13,8 @@ from xlinear.errors import DimensionError, NumericFault, UsageError
 from xlinear.tensor import Tensor
 from xlinear.training import mse_loss
 
+from lane_masks import lane_table
+
 
 def tiny_cfg(**over):
     base = dict(horizon=4, n_endo=2, n_exo=3, lookback=8, d_model=6, t_ff=8, c_ff=8,
@@ -285,7 +287,7 @@ class TestVgm:
     @pytest.mark.parametrize("n_endo,n_exo", [(3, 3), (1, 4)])
     @pytest.mark.parametrize("training", [False, True])
     def test_bias_in_gemm_matches_the_unfused_layer(self, gate, n_endo, n_exo, training):
-        """Against the unpruned layer: ``relu(t @ W1 + b1)``, ``dropout`` with the same draw,
+        """Against the unpruned layer: ``relu(t @ W1 + b1)``, ``dropout`` by the same mask,
         and a gate for all C+M channels from the full ``(c_ff, C+M)`` draw of ``vgm_w2``,
         which a softmax config keeps whole. An elementwise gate's exogenous columns get no
         gradient there."""
@@ -304,10 +306,12 @@ class TestVgm:
         g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
         weights = data.normal(size=(3, n_endo, 6))
 
-        def unpruned(e, g, p, training, rng):
+        masks = lane_table(np.random.default_rng(8), cfg, 3)
+
+        def unpruned(e, g, p, training, masks):
             tok = tc.concat([e, g], axis=1)
             h = tc.activation(tc.transpose(tok) @ p.vgm_w1 + p.vgm_b1, "relu")
-            h = tc.dropout(h, cfg.c_dropout, training, rng)
+            h = tc.dropout(h, cfg.c_dropout, training, masks["vgm"])
             gate = tc.transpose(tc.activation(h @ full.vgm_w2 + full.vgm_b2,
                                               cfg.gate_activation))
             _, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
@@ -320,7 +324,7 @@ class TestVgm:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
-                outs = fn(e, g, p, training, np.random.default_rng(8))
+                outs = fn(e, g, p, training, masks)
                 loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
             tc.backward(loss, tape)
             return [o.data for o in outs], [t.grad.copy() for t in leaves + [w2, b2]]
@@ -347,13 +351,14 @@ class TestVgm:
         e = Tensor(data.normal(size=(3, n_exo, 6)), requires_grad=True)
         g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
         weights = data.normal(size=(3, n_endo, 6))
+        masks = lane_table(np.random.default_rng(8), cfg, 3)
 
-        def two_concat(e_exo, x_glob, params, training, rng):
+        def two_concat(e_exo, x_glob, params, training, masks):
             t = tc.transpose(tc.concat([e_exo, x_glob], axis=1))
             t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)
             w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
             h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
-                       rng)
+                       masks["vgm"])
             gate = tc.activation(h, cfg.gate_activation)
             if cfg.gate_activation == "softmax":
                 gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
@@ -367,7 +372,7 @@ class TestVgm:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
-                outs = fn(e, g, p, training, np.random.default_rng(8))
+                outs = fn(e, g, p, training, masks)
                 loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
             tc.backward(loss, tape)
             return [o.data for o in outs] + [t.grad.copy() for t in leaves]
@@ -459,19 +464,27 @@ class TestForward:
         cfg = tiny_cfg(embed_dropout=0.3, t_dropout=0.2, c_dropout=0.2, head_dropout=0.2)
         p = make_params(cfg, seed=17)
         b = make_batch(cfg)
-        ya, _ = mdl.forward(b, p, training=True, rng=np.random.default_rng(1))
-        yb, _ = mdl.forward(b, p, training=True, rng=np.random.default_rng(1))
-        yc, _ = mdl.forward(b, p, training=True, rng=np.random.default_rng(2))
+        ya, yb, yc = (mdl.forward(b, p, training=True,
+                                  masks=lane_table(np.random.default_rng(seed), cfg, 5))[0]
+                      for seed in (1, 1, 2))
         assert np.array_equal(ya.data, yb.data)
         assert not np.array_equal(ya.data, yc.data)
 
     @pytest.mark.parametrize("site", ["embed_dropout", "t_dropout", "c_dropout",
                                       "head_dropout"])
-    def test_training_dropout_without_rng_is_a_usage_error(self, site):
-        """Each dropout site, the gating MLPs' hidden layers included, names the missing rng."""
+    def test_training_dropout_without_its_mask_is_a_usage_error(self, site):
+        """Each dropout site, the gating MLPs' hidden layers included, names the missing keep
+        mask, with no table or with a table that lacks the site."""
         cfg = tiny_cfg(**{site: 0.2})
-        with pytest.raises(UsageError, match="rng"):
-            mdl.forward(make_batch(cfg), make_params(cfg), training=True)
+        for masks in (None, {}):
+            with pytest.raises(UsageError, match="needs a keep mask"):
+                mdl.forward(make_batch(cfg), make_params(cfg), training=True, masks=masks)
+
+    def test_a_mask_table_of_another_batch_size_is_a_dimension_error(self):
+        cfg = tiny_cfg(head_dropout=0.2)
+        with pytest.raises(DimensionError, match="keep mask shape"):
+            mdl.forward(make_batch(cfg, n=5), make_params(cfg), training=True,
+                        masks=lane_table(np.random.default_rng(3), cfg, 6))
 
     def test_ablations_differ_only_through_gated_global_path(self):
         cfg_full = tiny_cfg()

@@ -16,7 +16,7 @@ from xlinear import tensor as tc
 from xlinear.errors import ConfigError, DimensionError, UsageError
 from xlinear.tensor import Tape, Tensor, backward, grad_check, record
 
-from lane_masks import lane_keep
+from lane_masks import lane_keep, lane_table
 
 
 def fd_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -189,7 +189,7 @@ class TestMatmul:
                                 exo_history=rng.normal(size=(3, 2, 6)))
         tape = Tape()
         with record(tape):
-            yhat, _ = mdl.forward(batch, params, training=True, rng=rng)
+            yhat, _ = mdl.forward(batch, params, training=True, masks=lane_table(rng, cfg, 3))
             loss = tc.tsum(yhat * yhat)
         backward(loss, tape)
         named = params.named()
@@ -428,26 +428,64 @@ class TestElementwiseGrads:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = tc.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = tc.dropout(x, 0.0, training=True, keep=None)
         assert out is x
 
     def test_eval_mode_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert tc.dropout(x, 0.9, training=False, rng=None) is x
+        assert tc.dropout(x, 0.9, training=False, keep=None) is x
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            tc.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            tc.dropout(Tensor([1.0]), 1.0, training=True, keep=np.ones(1, bool))
 
-    def test_training_without_rng_or_mask_is_one_usage_error(self):
-        with pytest.raises(UsageError, match="needs an rng or a keep mask"):
-            tc.dropout(Tensor(np.ones(4)), 0.2, training=True, rng=None)
+    def test_training_without_a_mask_is_one_usage_error(self):
+        with pytest.raises(UsageError, match="needs a keep mask"):
+            tc.dropout(Tensor(np.ones(4)), 0.2, training=True, keep=None)
+
+    @pytest.mark.parametrize("shape", [(5, 1, 4), (4,), (5, 3, 1), (15, 4), (5, 4, 3)])
+    def test_a_mask_not_of_the_input_shape_is_one_dimension_error(self, shape):
+        """A broadcastable or same-size mask is refused too: the keep mask of a site has its
+        shape."""
+        x = Tensor(np.ones((5, 3, 4)))
+        with pytest.raises(DimensionError, match="keep mask shape"):
+            tc.dropout(x, 0.2, training=True, keep=np.ones(shape, bool))
+
+    def test_monte_carlo_mean_preserved(self):
+        """Inverted scaling keeps E[output] = input within 2% at 10k draws."""
+        rng = np.random.default_rng(123)
+        x = Tensor(rng.uniform(0.5, 1.5, size=100))
+        acc = np.zeros(100)
+        draws = 10_000
+        for _ in range(draws):
+            keep = tc.draw_keep(np.empty(100, bool), 0.5, rng)
+            acc += tc.dropout(x, 0.5, training=True, keep=keep).data
+        est = acc.mean() / draws
+        assert abs(est - x.data.mean()) / x.data.mean() < 0.02
+
+    def test_grad_uses_the_same_mask(self):
+        """Forward and pull use one mask, survivors scaled by exactly 1/(1 - t/65536)."""
+        x = Tensor(np.ones(1001), requires_grad=True)
+        keep, scale = lane_keep(np.random.default_rng(7), x.shape, 0.3)
+        tape = Tape()
+        with record(tape):
+            y = tc.dropout(x, 0.3, training=True, keep=keep)
+            loss = tc.tsum(y)
+        backward(loss, tape)
+        assert scale == 65536 / 45875  # t = round(0.3 * 65536) = 19661
+        assert keep.any() and not keep.all()
+        np.testing.assert_array_equal(y.data, np.where(keep, scale, 0.0))
+        np.testing.assert_array_equal(x.grad, np.where(keep, scale, 0.0))
+
+
+class TestDrawKeep:
+    """``draw_keep`` fills a bool buffer with the lanes of :func:`lane_keep`'s twin draw and
+    leaves the Generator where that draw leaves it."""
 
     @pytest.mark.parametrize("rate", [0.3, 0.75])
-    def test_a_mask_drawn_beforehand_gives_the_generator_draw(self, rate):
-        """``draw_keep`` fills the caller's bool buffer with the lanes ``dropout`` would draw
-        from the same Generator; handed the buffer, ``dropout`` multiplies by it in forward
-        and pull. 100002 entries span two draw blocks and end inside a generator output."""
+    def test_fills_the_buffer_with_the_lanes_dropout_multiplies_by(self, rate):
+        """Handed the buffer, ``dropout`` multiplies by it in forward and pull. 100002
+        entries span two draw blocks and end inside a generator output."""
         x = Tensor(np.random.default_rng(40).normal(size=(7, 14286, 1)) + 2.0,
                    requires_grad=True)
         rng, twin = np.random.default_rng(41), np.random.default_rng(41)
@@ -458,40 +496,18 @@ class TestDropout:
         assert rng.bit_generator.state == twin.bit_generator.state
         tape = Tape()
         with record(tape):
-            y = tc.dropout(x, rate, training=True, rng=buf)
+            y = tc.dropout(x, rate, training=True, keep=buf)
             loss = tc.tsum(y)
         backward(loss, tape)
         np.testing.assert_array_equal(y.data, x.data * np.where(keep, scale, 0.0))
         np.testing.assert_array_equal(x.grad, np.where(keep, scale, 0.0))
-        assert rng.bit_generator.state == twin.bit_generator.state  # nothing more drawn
 
-    def test_monte_carlo_mean_preserved(self):
-        """Inverted scaling keeps E[output] = input within 2% at 10k draws."""
-        rng = np.random.default_rng(123)
-        x = Tensor(rng.uniform(0.5, 1.5, size=100))
-        acc = np.zeros(100)
-        draws = 10_000
-        for _ in range(draws):
-            acc += tc.dropout(x, 0.5, training=True, rng=rng).data
-        est = acc.mean() / draws
-        assert abs(est - x.data.mean()) / x.data.mean() < 0.02
-
-    def test_grad_uses_the_same_mask(self):
-        """Forward and pull use one mask: a twin Generator's lanes (1001 entries leave three
-        lanes of the last output unused), survivors scaled by exactly 1/(1 - t/65536), and
-        the Generator left where the twin's draw leaves it."""
-        x = Tensor(np.ones(1001), requires_grad=True)
+    def test_a_lane_cut_leaves_the_generator_where_the_twin_draw_does(self):
+        """1001 entries leave three lanes of the last output unused."""
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-        tape = Tape()
-        with record(tape):
-            y = tc.dropout(x, 0.3, training=True, rng=rng)
-            loss = tc.tsum(y)
-        backward(loss, tape)
-        keep, scale = lane_keep(twin, x.shape, 0.3)
-        assert scale == 65536 / 45875  # t = round(0.3 * 65536) = 19661
-        assert keep.any() and not keep.all()
-        np.testing.assert_array_equal(y.data, np.where(keep, scale, 0.0))
-        np.testing.assert_array_equal(x.grad, np.where(keep, scale, 0.0))
+        keep = tc.draw_keep(np.empty(1001, bool), 0.3, rng)
+        want, _ = lane_keep(twin, keep.shape, 0.3)
+        np.testing.assert_array_equal(keep, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("rate", [2.0 ** -18, 7.6e-6])
@@ -500,10 +516,10 @@ class TestDropout:
         Generator still advances by the draw."""
         x = Tensor(np.random.default_rng(1).normal(size=(5, 9)))
         rng, twin = np.random.default_rng(2), np.random.default_rng(2)
-        y = tc.dropout(x, rate, training=True, rng=rng)
-        keep, scale = lane_keep(twin, x.shape, rate)
-        assert keep.all() and scale == 1.0
-        np.testing.assert_array_equal(y.data, x.data)
+        keep = tc.draw_keep(np.empty(x.shape, bool), rate, rng)
+        want, scale = lane_keep(twin, x.shape, rate)
+        assert keep.all() and want.all() and scale == 1.0
+        np.testing.assert_array_equal(tc.dropout(x, rate, True, keep).data, x.data)
         assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("rate", [1.0 - 2.0 ** -17, 1.0 - 2.0 ** -18, np.nextafter(1.0, 0.0)])
@@ -512,10 +528,12 @@ class TestDropout:
         1/0; the threshold stays at 65535, so the top lane survives at scale 65536."""
         x = Tensor(np.ones((64, 4096)))
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        keep = tc.draw_keep(np.empty(x.shape, bool), rate, rng)
         with np.errstate(all="raise"):
-            y = tc.dropout(x, rate, training=True, rng=rng)
-        keep, scale = lane_keep(twin, x.shape, rate)
+            y = tc.dropout(x, rate, training=True, keep=keep)
+        want, scale = lane_keep(twin, x.shape, rate)
         assert scale == 65536.0 and keep.any()
+        np.testing.assert_array_equal(keep, want)
         np.testing.assert_array_equal(y.data, np.where(keep, 65536.0, 0.0))
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -524,53 +542,52 @@ class TestDropout:
         """The draw walks flat blocks of a multiple of 4 entries (10 rounds down to 8), so
         every block size gives the whole-site draw and the same Generator end state."""
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", block_floats)
-        x = Tensor(np.random.default_rng(4).normal(size=(7, 13, 11)))
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        y = tc.dropout(x, 0.25, training=True, rng=rng)
-        keep, scale = lane_keep(twin, x.shape, 0.25)
-        np.testing.assert_array_equal(y.data, x.data * np.where(keep, scale, 0.0))
+        keep = tc.draw_keep(np.empty((7, 13, 11), bool), 0.25, rng)
+        want, _ = lane_keep(twin, keep.shape, 0.25)
+        np.testing.assert_array_equal(keep, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def hidden_layer(x, rate, training, rng):
+def hidden_layer(x, rate, training, keep):
     """``mlp``'s hidden layer on ``x``: both of its layers are identities with no bias."""
     eye = Tensor(np.eye(x.shape[-1]))
-    return tc.mlp(x, eye, None, eye, Tensor(np.zeros(x.shape[-1])), rate, training, rng)
+    return tc.mlp(x, eye, None, eye, Tensor(np.zeros(x.shape[-1])), rate, training, keep)
 
 
 class TestReluDropout:
-    """``mlp``'s hidden layer: relu and inverted dropout as one product from one draw."""
+    """``mlp``'s hidden layer: relu and inverted dropout as one product by one mask."""
 
-    def test_equals_dropout_of_relu_and_draws_the_same(self):
+    def test_equals_dropout_of_relu_by_the_same_mask(self):
         x = Tensor(np.random.default_rng(3).normal(size=(4, 5, 6)))
-        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        fused = hidden_layer(x, 0.3, training=True, rng=rng_a).data
-        plain = tc.dropout(tc.activation(x, "relu"), 0.3, training=True, rng=rng_b).data
+        keep, _ = lane_keep(np.random.default_rng(11), x.shape, 0.3)
+        fused = hidden_layer(x, 0.3, training=True, keep=keep).data
+        plain = tc.dropout(tc.activation(x, "relu"), 0.3, training=True, keep=keep).data
         assert np.array_equal(fused, plain)  # equal as numbers: -0.0 == 0.0
         assert np.array_equal(np.abs(fused), np.abs(plain))
         assert (fused > 0).any() and (fused == 0).any()
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_eval_and_rate_zero_are_relu(self):
         x = Tensor(np.array([[-1.5, 0.0, 2.0]]))
         for taped in (False, True):
             for training, rate in ((False, 0.5), (True, 0.0)):
                 with record(Tape()) if taped else contextlib.nullcontext():
-                    out = hidden_layer(x, rate, training, rng=np.random.default_rng(0))
+                    out = hidden_layer(x, rate, training, keep=None)
                 assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            hidden_layer(Tensor([[1.0]]), 1.0, training=True, rng=np.random.default_rng(0))
+            hidden_layer(Tensor([[1.0]]), 1.0, training=True, keep=np.ones((1, 1), bool))
 
     def test_grad_check_in_training(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.uniform(0.2, 1.0, size=(3, 8)) * rng.choice([-1.0, 1.0], size=(3, 8)),
                    requires_grad=True)
         w = Tensor(rng.normal(size=(3, 8)))
+        keep, _ = lane_keep(np.random.default_rng(9), x.shape, 0.4)
 
         def f():
-            y = hidden_layer(x, 0.4, training=True, rng=np.random.default_rng(9))
+            y = hidden_layer(x, 0.4, training=True, keep=keep)
             return tc.tsum(y * y * w)
 
         report = grad_check(f, [x], rel_tol=1e-6)
@@ -628,13 +645,12 @@ class TestMaskedRelu:
         that is one product with the float scale ``keep · c``, bit for bit."""
         x, _, _, g = self.case(22)
         h = Tensor(x, requires_grad=True)
-        rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+        keep, c = lane_keep(np.random.default_rng(23), x.shape, 0.3)
         tape = Tape()
         with record(tape):
-            y = tc.dropout(h, 0.3, training=True, rng=rng)
+            y = tc.dropout(h, 0.3, training=True, keep=keep)
             loss = tc.tsum(y * Tensor(g))
         backward(loss, tape)
-        keep, c = lane_keep(twin, x.shape, 0.3)
         scale = np.where(keep, c, 0.0)
         assert keep.any() and not keep.all()
         np.testing.assert_array_equal(bits(y.data), bits(x * scale))
@@ -668,7 +684,7 @@ class TestMlp:
         x = np.random.default_rng(13).normal(size=(rows, 5))
         h = x @ w1.data + (b1.data if bias else 0.0)
         want = np.maximum(h, 0.0) @ w2.data + b2.data
-        got = tc.mlp(Tensor(x), w1, b1, w2, b2, 0.4, training=False, rng=None)
+        got = tc.mlp(Tensor(x), w1, b1, w2, b2, 0.4, training=False, keep=None)
         np.testing.assert_array_equal(got.data, want)
         assert not got.requires_grad
 
@@ -676,8 +692,8 @@ class TestMlp:
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(14).normal(size=(3, 7, 5)))
-        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=True, rng=None)
-        flat = tc.mlp(tc.reshape(x, (21, 5)), w1, b1, w2, b2, 0.0, training=False, rng=None)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=True, keep=None)
+        flat = tc.mlp(tc.reshape(x, (21, 5)), w1, b1, w2, b2, 0.0, training=False, keep=None)
         assert got.shape == (3, 7, 3)
         np.testing.assert_array_equal(got.data.reshape(21, 3), flat.data)
 
@@ -688,29 +704,26 @@ class TestMlp:
         8 and 4): a ``split`` part per block through ``matmul``, the bias ``add`` and the
         hidden layer, then ``matmul``, and one ``concat`` and ``b2`` add. With dropout on, a
         block's hidden layer is one masked-relu ``activation`` node where the composition has
-        a ``mul`` by the float scale of its rows of the whole-layer keep mask; values,
-        gradients and the Generator's end state are the composition's bit for bit."""
+        a ``mul`` by the float scale of its rows of the whole-layer keep mask; values and
+        gradients are the composition's bit for bit."""
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers(bias=bias)
         x = Tensor(np.random.default_rng(15).normal(size=(4, 5, 5)), requires_grad=True)
+        keep, scale = lane_keep(np.random.default_rng(16), (4, 5, 8), 0.3)
         runs = []
         for fused in (True, False):
-            rng = np.random.default_rng(16)
             tape = Tape()
             hidden = []
             with record(tape):
                 if fused:
-                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, rng)
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, keep if training else None)
                 else:
-                    if training:
-                        keep, scale = lane_keep(rng, (4, 5, 8), 0.3)
-                        keep = keep.reshape(20, 8)
                     parts = []
                     blocks = tc.split(tc.reshape(x, (20, 5)), (8, 8, 4), 0)
                     for lo, xb in zip((0, 8, 16), blocks):
                         h = xb @ w1 + b1 if bias else xb @ w1
                         if training:  # one mul by relu and the block's keep rows
-                            rows = keep[lo:lo + xb.shape[0]]
+                            rows = keep.reshape(20, 8)[lo:lo + xb.shape[0]]
                             h = h * Tensor((rows & (h.data > 0.0)) * scale)
                             hidden.append(len(tape.nodes) - 1)
                         else:
@@ -720,14 +733,14 @@ class TestMlp:
                 backward(tc.tsum(y * y), tape)
             leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
             runs.append(([pull.__qualname__ for _, pull in tape.nodes], y.data,
-                         [t.grad for t in leaves], rng.bit_generator.state))
+                         [t.grad for t in leaves]))
             for t in leaves:
                 t.zero_grad()
-        (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
+        (ops, y, grads), (ref_ops, ref_y, ref_grads) = runs
         for i in hidden:
             ref_ops[i] = "activation.<locals>.pull"
         assert len(hidden) == (3 if training else 0)
-        assert ops == ref_ops and state == ref_state
+        assert ops == ref_ops
         np.testing.assert_array_equal(y, ref_y)
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
@@ -738,24 +751,23 @@ class TestMlp:
         """Under a tape a one-block layer (9 rows of width 8 in blocks of 8: the 1-row tail
         joins the first block) runs its rows straight through ``matmul``, the bias ``add``
         and the hidden layer, then ``matmul``, and its part straight to the ``b2`` add:
-        no ``split`` or ``concat`` node. Values, gradients and the Generator's end state
-        are the composition's bit for bit."""
+        no ``split`` or ``concat`` node. Values and gradients are the composition's bit for
+        bit."""
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         assert tc._row_blocks(9, 8) == [0, 9]
         w1, b1, w2, b2 = self.layers(bias=bias)
         x = Tensor(np.random.default_rng(19).normal(size=(3, 3, 5)), requires_grad=True)
+        keep, scale = lane_keep(np.random.default_rng(20), (3, 3, 8), 0.3)
         runs = []
         for fused in (True, False):
-            rng = np.random.default_rng(20)
             tape = Tape()
             with record(tape):
                 if fused:
-                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, rng)
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, keep if training else None)
                 else:
                     x2 = tc.reshape(x, (9, 5))
                     h = x2 @ w1 + b1 if bias else x2 @ w1
                     if training:
-                        keep, scale = lane_keep(rng, (3, 3, 8), 0.3)
                         h = h * Tensor((keep.reshape(9, 8) & (h.data > 0.0)) * scale)
                     else:
                         h = tc.activation(h, "relu")
@@ -763,41 +775,36 @@ class TestMlp:
                 backward(tc.tsum(y * y), tape)
             leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
             runs.append(([pull.__qualname__.split(".")[0] for _, pull in tape.nodes], y.data,
-                         [t.grad for t in leaves], rng.bit_generator.state))
+                         [t.grad for t in leaves]))
             for t in leaves:
                 t.zero_grad()
-        (ops, y, grads, state), (ref_ops, ref_y, ref_grads, ref_state) = runs
+        (ops, y, grads), (ref_ops, ref_y, ref_grads) = runs
         first = ["reshape", "matmul", *(["add"] if bias else [])]
         last = ["matmul", "add", "reshape", "mul", "tsum"]
         assert ops == first + ["activation"] + last
         assert ref_ops == first + ["mul" if training else "activation"] + last
-        assert state == ref_state
         np.testing.assert_array_equal(y, ref_y)
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
 
-    def test_dropout_without_a_tape_draws_like_the_composed_ops(self):
+    def test_dropout_without_a_tape_is_the_composed_ops(self):
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(17).normal(size=(9, 5)))
-        rng_a, rng_b = np.random.default_rng(18), np.random.default_rng(18)
-        got = tc.mlp(x, w1, b1, w2, b2, 0.5, training=True, rng=rng_a)
-        want = tc.dropout(tc.activation(x @ w1 + b1, "relu"), 0.5, True, rng_b) @ w2 + b2
+        keep, _ = lane_keep(np.random.default_rng(18), (9, 8), 0.5)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.5, training=True, keep=keep)
+        want = tc.dropout(tc.activation(x @ w1 + b1, "relu"), 0.5, True, keep) @ w2 + b2
         np.testing.assert_array_equal(got.data, want.data)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     @pytest.mark.parametrize("taped", [False, True])
-    def test_a_hidden_mask_drawn_beforehand_gives_the_generator_draw(self, taped):
-        """Handed the keep mask of its whole hidden layer, ``mlp`` gives the bits of drawing
-        it from the Generator: 300 rows of width 512 walk three row blocks."""
-        w1, b1, w2, b2 = self.layers(width=512)
-        x = Tensor(np.random.default_rng(19).normal(size=(3, 100, 5)))
-        rng_a, rng_b = np.random.default_rng(20), np.random.default_rng(20)
-        mask = tc.draw_keep(np.empty((3, 100, 512), bool), 0.4, rng_b)
-        with record(Tape()) if taped else contextlib.nullcontext():
-            got = tc.mlp(x, w1, b1, w2, b2, 0.4, training=True, rng=rng_a)
-            want = tc.mlp(x, w1, b1, w2, b2, 0.4, training=True, rng=mask)
-        np.testing.assert_array_equal(got.data, want.data)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    @pytest.mark.parametrize("shape", [(12, 8), (2, 6, 8), (4, 3, 1), (4, 1, 8), (4, 3, 5)])
+    def test_a_mask_not_of_the_hidden_layer_shape_is_one_dimension_error(self, taped, shape):
+        """The hidden layer of a (4, 3, 5) input is (4, 3, 8). A mask of that size in another
+        shape, a broadcastable mask and one of another size are each refused the same way."""
+        w1, b1, w2, b2 = self.layers()
+        x = Tensor(np.ones((4, 3, 5)))
+        with pytest.raises(DimensionError, match=r"keep mask shape .* \(4, 3, 8\)"), \
+                record(Tape()) if taped else contextlib.nullcontext():
+            tc.mlp(x, w1, b1, w2, b2, 0.1, training=True, keep=np.ones(shape, bool))
 
     @pytest.mark.parametrize("w2_shape", [(7, 3), (8,), (8, 3, 1)])
     def test_mis_shaped_w2_raises_as_under_a_tape(self, w2_shape):
@@ -805,18 +812,18 @@ class TestMlp:
         w2 = Tensor(np.zeros(w2_shape), requires_grad=True)
         x = Tensor(np.ones((2, 4, 5)))
         with pytest.raises(DimensionError) as taped, record(Tape()):
-            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, rng=None)
+            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, keep=None)
         with pytest.raises(DimensionError) as eval_mode:
-            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, rng=None)
+            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, keep=None)
         assert str(eval_mode.value) == str(taped.value)
         assert "matmul" in str(eval_mode.value)
 
     def test_mis_shaped_input_raises_in_eval(self):
         w1, b1, w2, b2 = self.layers()
         with pytest.raises(DimensionError, match="inner dims"):
-            tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, training=False, rng=None)
+            tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, training=False, keep=None)
         with pytest.raises(DimensionError, match="needs"):
-            tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, training=False, rng=None)
+            tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, training=False, keep=None)
 
 
 class TestBackward:
@@ -877,12 +884,12 @@ class TestBackward:
         """Same seed and op sequence give bit-identical forward and grads."""
 
         def run():
-            rng = np.random.default_rng(99)
+            keep = tc.draw_keep(np.empty((4, 3), bool), 0.4, np.random.default_rng(99))
             x = Tensor(np.linspace(-1, 1, 24).reshape(4, 6), requires_grad=True)
             w = Tensor(np.random.default_rng(5).normal(size=(6, 3)), requires_grad=True)
             tape = Tape()
             with record(tape):
-                h = tc.dropout(tc.activation(x @ w, "sigmoid"), 0.4, training=True, rng=rng)
+                h = tc.dropout(tc.activation(x @ w, "sigmoid"), 0.4, training=True, keep=keep)
                 loss = tc.tsum(h * h)
             backward(loss, tape)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()

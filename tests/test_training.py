@@ -1,6 +1,5 @@
 """Tests for the loss, Adam, LR schedule, early stopping, and train loop."""
 
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -16,7 +15,7 @@ from xlinear import training as tr
 from xlinear.errors import ConfigError, DimensionError, NumericFault
 from xlinear.tensor import Tensor
 
-from lane_masks import lane_keep
+from lane_masks import lane_table
 from synthetic_series import write_synthetic_csv
 
 
@@ -380,11 +379,12 @@ def force_sub_batch_windows(monkeypatch, cfg, windows):
 
 @pytest.fixture
 def recorded_masks(monkeypatch):
-    """(keep mask, rate) of every dropout site that training draws, in draw order."""
+    """(buffer view drawn into, a copy of the mask then) of every dropout site that ``train``
+    draws, in draw order."""
     made, real_draw_keep = [], tr.draw_keep
 
     def draw_keep(out, rate, rng):
-        made.append((real_draw_keep(out, rate, rng), rate))
+        made.append((out, real_draw_keep(out, rate, rng).copy()))
         return out
 
     monkeypatch.setattr(tr, "draw_keep", draw_keep)
@@ -406,10 +406,10 @@ def sub_batch_case(tmp_path, target_mode, n=30, **model):
     return cfg, mdl.XLinearParams(cfg, np.random.default_rng(3)), batch
 
 
-def batch_grads(params, batch, rng, buffers=None):
+def batch_grads(params, batch, masks):
     for p in params.all():
         p.zero_grad()
-    loss = tr.accumulate_gradients(params, batch, rng, buffers)
+    loss = tr.accumulate_gradients(params, batch, masks)
     return loss, {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
 
 
@@ -425,23 +425,24 @@ class TestSubBatches:
                                               ablation):
         cfg, params, batch = sub_batch_case(tmp_path, target_mode, gate_activation=gate,
                                             ablation=ablation)
-        # reference: one tape over the whole batch, masks drawn straight from a Generator
+        # reference: one tape over the whole batch
+        masks = lane_table(np.random.default_rng(9), cfg, len(batch))
         tape = tc.Tape()
         with tc.record(tape):
-            yhat, _ = mdl.forward(batch, params, training=True, rng=np.random.default_rng(9))
+            yhat, _ = mdl.forward(batch, params, training=True, masks=masks)
             loss = tr.mse_loss(yhat, Tensor(batch.endo_future))
         tc.backward(loss, tape)
         taped = {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
 
         force_sub_batch_windows(monkeypatch, cfg, len(batch))
-        one_loss, one = batch_grads(params, batch, np.random.default_rng(9))
+        one_loss, one = batch_grads(params, batch, masks)
         assert one_loss == loss.item()
         for name, g in one.items():
             assert (g is None) == (taped[name] is None) and (g is None or
                                                              np.array_equal(g, taped[name]))
 
         force_sub_batch_windows(monkeypatch, cfg, 8)  # 30 windows: 8 + 8 + 8 + 6
-        sub_loss, sub = batch_grads(params, batch, np.random.default_rng(9))
+        sub_loss, sub = batch_grads(params, batch, masks)
         assert sub_loss == pytest.approx(one_loss, rel=1e-12)
         for name, g in sub.items():
             want = one[name]
@@ -461,53 +462,59 @@ class TestSubBatches:
             (target_mode == "multivariate")
         before = [a.copy() for a in (batch.endo_history, batch.exo_history, batch.endo_future)]
         force_sub_batch_windows(monkeypatch, cfg, 8)
-        tr.accumulate_gradients(params, batch, np.random.default_rng(12))
+        tr.accumulate_gradients(params, batch, lane_table(np.random.default_rng(12), cfg, 30))
         mdl.predictor(params, cfg)(batch.endo_history, batch.exo_history)
         for got, want in zip((batch.endo_history, batch.exo_history, batch.endo_future), before):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("target_mode", ["multivariate", "last-column-endogenous"])
-    def test_masks_replay_the_whole_batch_draw(self, tmp_path, monkeypatch, recorded_masks,
-                                               target_mode):
-        cfg, params, batch = sub_batch_case(tmp_path, target_mode)
-        force_sub_batch_windows(monkeypatch, cfg, 8)
-        rng = np.random.default_rng(11)
-        twin = copy.deepcopy(rng)
-        tr.accumulate_gradients(params, batch, rng)
-        n, m, c, d = len(batch), cfg.n_endo, cfg.n_exo, cfg.d_model
-        sites = [((n, m, d), cfg.embed_dropout), ((n, c, d), cfg.embed_dropout),
-                 ((n, m, cfg.t_ff), cfg.t_dropout), ((n, d, cfg.c_ff), cfg.c_dropout),
-                 ((n, m, 2 * d), cfg.head_dropout)]
-        assert [(k.shape, rate) for k, rate in recorded_masks] == sites
-        for (keep, _), (shape, rate) in zip(recorded_masks, sites):
-            assert keep.dtype == bool and np.array_equal(keep, lane_keep(twin, shape, rate)[0])
-        assert rng.bit_generator.state == twin.bit_generator.state
+    def test_train_draws_each_batch_table_from_the_dropout_generator(self, tmp_path,
+                                                                     recorded_masks,
+                                                                     target_mode):
+        """Each batch's masks, the short last batch's in the leading rows of the buffers too,
+        are the lanes of the seed's third spawned Generator drawn in site order, batch after
+        batch: ``lane_table`` of a twin."""
+        cfg, _, _ = sub_batch_case(tmp_path, target_mode)
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", target_mode),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1, seed=11), ds, echo=False)
+        batches = list(dio.iter_batches(ds, "train", 16, 4, 121, shuffle=True,
+                                        rng=np.random.default_rng(11).spawn(3)[1]))
+        assert [len(b) for b in batches] == [121, 121, 19]
+        twin = np.random.default_rng(11).spawn(3)[2]
+        want = [keep for b in batches for keep in lane_table(twin, cfg, len(b)).values()]
+        assert len(recorded_masks) == len(want)
+        for (_, keep), w in zip(recorded_masks, want):
+            assert keep.dtype == bool and np.array_equal(keep, w)
 
     @pytest.mark.parametrize("rates", [(0.1, 0.2, 0.3, 0.15), (0.05, 0.5, 0.9, 0.45)])
-    def test_each_site_keeps_its_binomial_share(self, tmp_path, recorded_masks, rates):
+    def test_each_site_keeps_its_binomial_share(self, rates):
         """Each site's keep fraction lies within 5 sigma of ``1 - t/65536``."""
         embed, t_rate, c_rate, head_rate = rates
-        cfg, params, batch = sub_batch_case(tmp_path, "multivariate", n=64, d_model=32,
-                                            t_ff=64, c_ff=64, embed_dropout=embed,
-                                            t_dropout=t_rate, c_dropout=c_rate,
-                                            head_dropout=head_rate)
-        tr.accumulate_gradients(params, batch, np.random.default_rng(14))
-        site_rates = [embed, embed, t_rate, c_rate, head_rate]
-        assert [rate for _, rate in recorded_masks] == site_rates
-        for keep, rate in recorded_masks:
+        cfg = mdl.ModelConfig(n_endo=2, n_exo=3, **{
+            **SUB_BATCH_MODEL, "d_model": 32, "t_ff": 64, "c_ff": 64, "embed_dropout": embed,
+            "t_dropout": t_rate, "c_dropout": c_rate, "head_dropout": head_rate})
+        sites = mdl.dropout_sites(cfg, 64)
+        assert [rate for _, rate in sites.values()] == [embed, embed, t_rate, c_rate, head_rate]
+        rng = np.random.default_rng(14)
+        for shape, rate in sites.values():
+            keep = tc.draw_keep(np.empty(shape, bool), rate, rng)
             p = 1.0 - round(rate * 65536) / 65536
             sigma = math.sqrt(p * (1.0 - p) / keep.size)
             assert abs(keep.mean() - p) <= 5.0 * sigma, (rate, keep.size, keep.mean())
 
     def test_zero_rates_draw_nothing(self, tmp_path, monkeypatch, recorded_masks):
+        """With every rate 0 the table is empty: a step reads no mask and ``train`` draws
+        none."""
         cfg, params, batch = sub_batch_case(tmp_path, "multivariate", embed_dropout=0.0,
                                             t_dropout=0.0, c_dropout=0.0, head_dropout=0.0)
+        assert mdl.dropout_sites(cfg, len(batch)) == {}
         force_sub_batch_windows(monkeypatch, cfg, 8)
-        rng = np.random.default_rng(12)
-        state = copy.deepcopy(rng.bit_generator.state)
-        tr.accumulate_gradients(params, batch, rng)
+        assert math.isfinite(tr.accumulate_gradients(params, batch, {}))
+        ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", "multivariate"),
+                                 (0.7, 0.1, 0.2), lookback=16, horizon=4)
+        tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1), ds, echo=False)
         assert recorded_masks == []
-        assert rng.bit_generator.state == state
 
     def test_ragged_split_and_short_last_batch(self, tmp_path, monkeypatch):
         cfg, _, _ = sub_batch_case(tmp_path, "last-column-endogenous")
@@ -516,10 +523,10 @@ class TestSubBatches:
         force_sub_batch_windows(monkeypatch, cfg, 32)
         sizes, real_forward = [], mdl.forward
 
-        def forward(batch, params, training=False, rng=None):
+        def forward(batch, params, training=False, masks=None):
             if training:
                 sizes.append(len(batch))
-            return real_forward(batch, params, training, rng)
+            return real_forward(batch, params, training, masks)
 
         monkeypatch.setattr(mdl, "forward", forward)
         tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1), ds, echo=False)
@@ -541,25 +548,25 @@ class TestSubBatches:
                                             d_model=32, c_ff=64)
         force_sub_batch_windows(monkeypatch, cfg, 8)
         state = tr.AdamState(params)
-        rng = np.random.default_rng(13)
+        masks = lane_table(np.random.default_rng(13), cfg, len(batch))
         hidden_bytes = len(batch) * cfg.d_model * cfg.c_ff * 8
         tracemalloc.start()
         try:
-            tr.accumulate_gradients(params, batch, rng)
+            tr.accumulate_gradients(params, batch, masks)
             tr.adam_step(params, state, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * hidden_bytes, (peak, hidden_bytes)
 
-    @pytest.mark.parametrize("n_endo,n_exo,layers", [(1, 6, 3.5), (7, 7, 5.6)])
+    @pytest.mark.parametrize("n_endo,n_exo,layers", [(1, 6, 2.7), (7, 7, 5.0)])
     def test_reproduction_size_step_holds_one_hidden_buffer(self, n_endo, n_exo, layers):
         """One taped 32-window step at the reproduction size (L = S = 96, d_model 128,
         t_ff 256, c_ff 128) peaks below ``layers`` VGM hidden layers of [32 x 128 x 128]
         floats: the hidden layer is one buffer in forward and its gradient is written back
-        into it. The step peaks at 3.0 (MS) and 5.2 (M) hidden layers; one more full-size
-        buffer in forward or backward gives 4.0 and 6.1, and a hidden layer built as a
-        ``mul`` by a float scale 6.0 and 8.4."""
+        into it. With its masks drawn beforehand the step peaks at 2.2 (MS) and 4.6 (M)
+        hidden layers; one more full-size buffer held through the backward gives 3.2 and
+        5.6."""
         cfg = mdl.ModelConfig(n_endo=n_endo, n_exo=n_exo, lookback=96, horizon=96, d_model=128,
                               t_ff=256, c_ff=128)
         n = tr.sub_batch_windows(cfg)
@@ -569,12 +576,13 @@ class TestSubBatches:
         batch = dio.WindowBatch(data.normal(size=(n, n_endo, 96)),
                                 data.normal(size=(n, n_exo, 96)),
                                 data.normal(size=(n, n_endo, 96)))
-        tr.accumulate_gradients(params, batch, np.random.default_rng(32))
+        tr.accumulate_gradients(params, batch, lane_table(np.random.default_rng(32), cfg, n))
         for p in params.all():
             p.zero_grad()
+        masks = lane_table(np.random.default_rng(33), cfg, n)
         tracemalloc.start()
         try:
-            tr.accumulate_gradients(params, batch, np.random.default_rng(33))
+            tr.accumulate_gradients(params, batch, masks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -595,12 +603,12 @@ class TestSubBatches:
         params, log = tr.train(cfg, tcfg, ds, echo=False)
         real_mlp, taped = tc.mlp, []
 
-        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, rng):
+        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, keep):
             if not training:
-                return real_mlp(x, w1, b1, w2, b2, rate, training, rng)
+                return real_mlp(x, w1, b1, w2, b2, rate, training, keep)
             taped.append(x.shape[0])
             h = x @ w1 if b1 is None else x @ w1 + b1
-            keep, c = tc._keep_scale(h.shape, rate, rng)
+            c = tc._keep_scale(keep, h.shape, rate)
             h = h * Tensor((keep & (h.data > 0.0)) * c)
             return h @ w2 + b2
 
@@ -628,55 +636,30 @@ class TestDropoutSites:
     @pytest.mark.parametrize("ablation", mdl.ABLATIONS)
     @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
     @pytest.mark.parametrize("mode", ["multivariate", "last-column-endogenous", "no-exo"])
-    def test_table_is_what_a_taped_forward_draws(self, tmp_path, monkeypatch, recorded_masks,
-                                                 mode, gate, ablation):
-        """``dropout_sites`` lists the (shape, rate) of each mask a taped training forward
-        with a Generator draws, in its order; the masks a sub-batched step draws for the
-        table are the twin Generator's lanes and those of that forward."""
+    def test_a_taped_forward_reads_each_site_of_the_table_in_order(self, tmp_path, mode, gate,
+                                                                   ablation):
+        """A taped training forward reads each site of ``dropout_sites`` once, in the
+        table's order, and each mask has the shape its op checks it against."""
         cfg, params, batch = site_case(tmp_path, mode, gate_activation=gate, ablation=ablation)
-        sites = list(mdl.dropout_sites(cfg, len(batch)).values())
-        assert len(sites) == 5 and sites[1][0][1] == cfg.n_exo
-        drawn, real_draw_keep = [], tc.draw_keep
+        sites = mdl.dropout_sites(cfg, len(batch))
+        assert len(sites) == 5 and sites["embed_exo"][0][1] == cfg.n_exo
+        reads = []
 
-        def draw_keep(out, rate, rng):
-            drawn.append((out.shape, rate, real_draw_keep(out, rate, rng)))
-            return out
+        class ReadLog(dict):
+            def get(self, site, default=None):
+                reads.append(site)
+                return super().get(site, default)
 
-        monkeypatch.setattr(tc, "draw_keep", draw_keep)
         with tc.record(tc.Tape()):
-            mdl.forward(batch, params, training=True, rng=np.random.default_rng(16))
-        assert [(shape, rate) for shape, rate, _ in drawn] == sites
-
-        force_sub_batch_windows(monkeypatch, cfg, 8)
-        rng = np.random.default_rng(16)
-        twin = copy.deepcopy(rng)
-        tr.accumulate_gradients(params, batch, rng)
-        assert [(keep.shape, rate) for keep, rate in recorded_masks] == sites
-        for (keep, _), (shape, rate), (*_, taped) in zip(recorded_masks, sites, drawn):
-            want = lane_keep(twin, shape, rate)[0]
-            assert np.array_equal(keep, want) and np.array_equal(taped, want)
-        assert rng.bit_generator.state == twin.bit_generator.state
+            mdl.forward(batch, params, training=True,
+                        masks=ReadLog(lane_table(np.random.default_rng(16), cfg, len(batch))))
+        assert reads == list(sites)
 
     def test_zero_rate_sites_are_left_out(self):
         cfg = mdl.ModelConfig(horizon=4, n_endo=2, n_exo=3, lookback=16, d_model=8, t_ff=16,
                               c_ff=12, embed_dropout=0.0, t_dropout=0.2, c_dropout=0.0,
                               head_dropout=0.1)
         assert mdl.dropout_sites(cfg, 5) == {"tgm": ((5, 2, 16), 0.2), "head": ((5, 2, 16), 0.1)}
-
-    def test_a_short_batch_draws_into_the_leading_rows_of_the_buffers(self, tmp_path,
-                                                                      recorded_masks):
-        """Buffers sized for 40 windows serve a 30-window batch with their first 30 rows and
-        give the gradients of masks drawn into new arrays."""
-        cfg, params, batch = sub_batch_case(tmp_path, "multivariate")
-        buffers = {site: np.ones(shape, bool)
-                   for site, (shape, _) in mdl.dropout_sites(cfg, 40).items()}
-        loss, got = batch_grads(params, batch, np.random.default_rng(17), buffers)
-        want_loss, want = batch_grads(params, batch, np.random.default_rng(17))
-        assert loss == want_loss
-        for name, g in got.items():
-            assert np.array_equal(g, want[name]), name
-        for (keep, _), buf in zip(recorded_masks, buffers.values()):
-            assert keep.base is buf and keep.shape == (30,) + buf.shape[1:]
 
     def test_a_run_draws_every_batch_into_one_buffer_per_site(self, tmp_path, recorded_masks):
         """One ``train`` epoch of 121-window batches and a shorter last batch draws each
