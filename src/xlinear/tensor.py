@@ -13,7 +13,9 @@ eval-mode fast path. :func:`mlp` runs a two-layer MLP over row blocks of
 about ``MLP_BLOCK_FLOATS`` hidden floats, so a block's hidden layer stays in
 cache from one GEMM to the next. Eval computes each block in place and never
 holds the hidden layer at full size; under a tape each block is a chain of
-tape ops over the same rows, so eval has the taped forward's bits.
+tape ops over the same rows, so eval has the taped forward's bits. An eval
+layer of two or more blocks runs its second half of the blocks on one helper
+thread, the only thread the library starts.
 
 Dropout reads a bool keep mask of its site's shape, drawn before the forward
 by :func:`draw_keep` from four 16-bit lanes per generator output, with one
@@ -25,7 +27,9 @@ and the pull writes the block's hidden gradient back into it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,9 +462,11 @@ def draw_keep(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndar
 
 def _keep_scale(keep: np.ndarray | None, shape: tuple, rate: float) -> float:
     """The survivor scale ``c = 1 / (1 - t / 2**16)`` of :func:`draw_keep`'s lane threshold
-    ``t`` at ``rate``, once ``keep`` is checked to be a mask of the site's ``shape``."""
+    ``t`` at ``rate``, once ``keep`` is checked to be a bool mask of the site's ``shape``."""
     if keep is None:
         raise UsageError("dropout in training needs a keep mask, got None")
+    if keep.dtype != np.bool_:
+        raise UsageError(f"a keep mask must be bool, got dtype {keep.dtype}")
     if keep.shape != shape:
         raise DimensionError(f"keep mask shape {keep.shape} does not match its site {shape}")
     return 1.0 / (1.0 - _lane_threshold(rate) / 65536)
@@ -518,7 +524,11 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     made, which only this function holds, and its pull writes the hidden gradient back into
     it once the second GEMM's pull has read it; else it is ``activation(h, "relu")``.
     Otherwise each block is biased and clipped in place and multiplied into its rows of one
-    output.
+    output by :func:`_walk`. A layer of two or more blocks walks the first half of its blocks
+    on the calling thread and the rest on this process's helper thread, each in its half of
+    one hidden buffer the caller allocates, with the caller's numpy error state; every
+    block is the same computation on either thread, so the bits do not change. ``b2`` is
+    added once both halves stop, and an exception of either half is raised here.
     """
     _check_rate(rate)
     _check_matmul(x.shape, w1.shape)
@@ -540,16 +550,51 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
             parts.append(matmul(activation(h, "relu", block), w2))
         y = concat(parts, 0) if len(parts) > 1 else parts[0]
         return reshape(add(y, b2), x.shape[:-1] + (n,))
-    x2 = x.data.reshape(rows, k)
     out = np.empty((rows, n))
-    for lo, hi in zip(bounds, bounds[1:]):
-        h = x2[lo:hi] @ w1.data
-        if b1 is not None:
-            h += b1.data
-        np.maximum(h, 0.0, out=h)
-        np.matmul(h, w2.data, out=out[lo:hi])
+    walk = (x.data.reshape(rows, k), w1.data, None if b1 is None else b1.data, w2.data, out)
+    if len(bounds) == 2:  # one block stays on the caller
+        _walk(*walk, bounds, np.empty((rows, width)))
+    else:  # the caller walks the first half of the blocks, the helper thread the rest
+        mid = len(bounds) // 2
+        h = np.empty((2, max(np.diff(bounds)), width))
+        half = _helper().submit(contextvars.copy_context().run, _walk, *walk, bounds[mid:], h[1])
+        try:
+            _walk(*walk, bounds[:mid + 1], h[0])
+        finally:
+            half.exception()  # waits for the helper's half to stop, raised or not
+        half.result()
     out += b2.data
     return Tensor(out.reshape(x.shape[:-1] + (n,)))
+
+
+def _walk(x2, w1, b1, w2, out, bounds, h):
+    """Eval :func:`mlp` over the row blocks between consecutive ``bounds``, without ``b2``:
+    each block of ``x2``'s rows goes through the first GEMM into the leading rows of the
+    hidden buffer ``h``, is biased by ``b1`` (None when it rides in ``w1``) and clipped in
+    place, and is multiplied into its rows of ``out``."""
+    for lo, hi in zip(bounds, bounds[1:]):
+        hb = np.matmul(x2[lo:hi], w1, out=h[:hi - lo])
+        if b1 is not None:
+            hb += b1
+        np.maximum(hb, 0.0, out=hb)
+        np.matmul(hb, w2, out=out[lo:hi])
+
+
+_helpers = {}  # process id -> the one-worker pool of that process's eval MLP helper
+
+
+def _helper():
+    """This process's one-worker ``ThreadPoolExecutor``, made on first use, and made again in
+    a forked child, where the parent's worker thread does not exist. ``setdefault`` is
+    atomic, so callers that race on the first use share one pool; a pool that lost never
+    started a thread. The import waits for first use, since ``concurrent.futures`` imports
+    ``logging``, a few ms of every CLI call's start-up."""
+    pid = os.getpid()
+    pool = _helpers.get(pid)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = _helpers.setdefault(pid, ThreadPoolExecutor(1, thread_name_prefix="xlinear-mlp"))
+    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,12 @@ def adam_step(params: mdl.XLinearParams, state: AdamState, lr: float):
 
     The update ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` is built in two buffers per
     parameter, one operation at a time in that order, so it has the bits of the expression.
+    A gradient with a NaN or infinite entry raises :class:`NumericFault` naming its
+    parameter, before any parameter or moment changes.
     """
+    for name, p in params.named():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericFault(f"non-finite gradient of parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
@@ -230,9 +235,9 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
                      for site, (_, rate) in sites.items()}
             try:
                 loss_val = accumulate_gradients(params, batch, masks)
+                adam_step(params, state, lr)
             except NumericFault as ex:
                 raise NumericFault(f"{ex} (epoch {e}, batch {bi})") from ex
-            adam_step(params, state, lr)
             total += loss_val * len(batch)
             count += len(batch)
         train_loss = total / count

@@ -6,10 +6,15 @@ the library's own grad_check.
 """
 
 import contextlib
+import os
+import sys
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
 
+from xlinear import cli
 from xlinear import data as dio
 from xlinear import model as mdl
 from xlinear import tensor as tc
@@ -451,6 +456,13 @@ class TestDropout:
         with pytest.raises(DimensionError, match="keep mask shape"):
             tc.dropout(x, 0.2, training=True, keep=np.ones(shape, bool))
 
+    @pytest.mark.parametrize("mask", [np.array([0.5, 2.0, 1.0, 0.0]),
+                                      np.array([1, 0, 1, 1], np.uint8)])
+    def test_a_mask_that_is_not_bool_is_one_usage_error(self, mask):
+        """A float mask would scale the entries it keeps by its values, not drop them."""
+        with pytest.raises(UsageError, match=f"must be bool, got dtype {mask.dtype}"):
+            tc.dropout(Tensor(np.ones(4)), 0.5, training=True, keep=mask)
+
     def test_monte_carlo_mean_preserved(self):
         """Inverted scaling keeps E[output] = input within 2% at 10k draws."""
         rng = np.random.default_rng(123)
@@ -806,6 +818,15 @@ class TestMlp:
                 record(Tape()) if taped else contextlib.nullcontext():
             tc.mlp(x, w1, b1, w2, b2, 0.1, training=True, keep=np.ones(shape, bool))
 
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_a_mask_that_is_not_bool_is_one_usage_error(self, taped, dtype):
+        w1, b1, w2, b2 = self.layers()
+        with pytest.raises(UsageError, match=f"must be bool, got dtype {np.dtype(dtype)}"), \
+                record(Tape()) if taped else contextlib.nullcontext():
+            tc.mlp(Tensor(np.ones((4, 3, 5))), w1, b1, w2, b2, 0.1, training=True,
+                   keep=np.ones((4, 3, 8), dtype))
+
     @pytest.mark.parametrize("w2_shape", [(7, 3), (8,), (8, 3, 1)])
     def test_mis_shaped_w2_raises_as_under_a_tape(self, w2_shape):
         w1, b1, _, b2 = self.layers()
@@ -824,6 +845,202 @@ class TestMlp:
             tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, training=False, keep=None)
         with pytest.raises(DimensionError, match="needs"):
             tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, training=False, keep=None)
+
+
+class InlinePool:
+    """A stand-in for ``tensor._helper()``'s pool that runs the submitted half on the calling
+    thread: the one-thread walk of the same blocks."""
+
+    @staticmethod
+    def submit(fn, *args):
+        done = futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(thread id, bounds) of each ``tensor._walk`` call, in call order."""
+    calls, real = [], tc._walk
+
+    def walk(*args):
+        calls.append((threading.get_ident(), list(args[-2])))
+        real(*args)
+
+    monkeypatch.setattr(tc, "_walk", walk)
+    return calls
+
+
+class TestMlpHelper:
+    """An eval ``mlp`` of two or more row blocks walks the second half of them on one helper
+    thread, with the bits of a one-thread walk."""
+
+    layers = staticmethod(TestMlp.layers)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("rows,k,width,n,blocks", [
+        (16, 5, 8, 3, 2), (24, 5, 8, 3, 3), (128, 5, 8, 3, 16), (17, 5, 8, 3, 2),
+        (25, 5, 8, 3, 3), (8192, 15, 128, 7, 16), (448, 256, 256, 256, 2)])
+    def test_the_threaded_walk_has_the_one_thread_bits(self, monkeypatch, walks, bias, rows,
+                                                       k, width, n, blocks):
+        """Blocks of 8 rows of width 8, and the VGM and TGM layers of a 64-window eval batch
+        at the reproduction size (blocks of 512 rows of width 128 and of 256 rows of width
+        256); 17 and 25 rows end in a 1-row tail joined to the block before it. The caller walks the first half of
+        the blocks, the helper the rest."""
+        if width == 8:
+            monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        bounds = tc._row_blocks(rows, width)
+        assert len(bounds) == blocks + 1
+        w1, b1, w2, b2 = self.layers(k, width, n, bias=bias)
+        x = Tensor(np.random.default_rng(30).normal(size=(rows, k)))
+        got = tc.mlp(x, w1, b1, w2, b2, 0.4, training=False, keep=None)
+        mid = len(bounds) // 2
+        assert sorted(b for _, b in walks) == [bounds[:mid + 1], bounds[mid:]]
+        assert dict((b[0], ident) for ident, b in walks)[0] == threading.get_ident()
+        assert len({ident for ident, _ in walks}) == 2
+        del walks[:]
+        with monkeypatch.context() as m:
+            m.setattr(tc, "_helper", InlinePool)
+            want = tc.mlp(x, w1, b1, w2, b2, 0.4, training=False, keep=None)
+        assert {ident for ident, _ in walks} == {threading.get_ident()}
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_a_one_block_layer_stays_on_the_caller(self, walks):
+        w1, b1, w2, b2 = self.layers()
+        tc.mlp(Tensor(np.ones((9, 5))), w1, b1, w2, b2, 0.0, training=False, keep=None)
+        assert walks == [(threading.get_ident(), [0, 9])]
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_an_exception_of_either_half_is_raised_on_the_caller(self, monkeypatch, failing):
+        """The caller raises only once the helper's half has stopped, and the next call
+        walks on the same helper."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        w1, b1, w2, b2 = self.layers()
+        x = Tensor(np.random.default_rng(31).normal(size=(32, 5)))
+        want = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        real, caller, finished = tc._walk, threading.get_ident(), []
+
+        def walk(*args):
+            on_helper = threading.get_ident() != caller
+            if on_helper == (failing == "helper"):
+                raise OverflowError(f"injected into the {failing}'s half")
+            if on_helper:
+                threading.Event().wait(0.05)  # the caller's half has raised by now
+            real(*args)
+            finished.append(on_helper)
+
+        monkeypatch.setattr(tc, "_walk", walk)
+        with pytest.raises(OverflowError, match=f"the {failing}'s half"):
+            tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        assert finished == [failing == "caller"]
+        monkeypatch.setattr(tc, "_walk", real)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_the_helper_runs_under_the_callers_numpy_error_state(self, monkeypatch):
+        """Only the helper's rows overflow, and they raise as the caller's would."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        w1 = np.zeros((5, 8))
+        w1[0] = 1.0
+        x = np.zeros((16, 5))
+        x[8:, 0] = 1.7e308  # the bias add doubles it in the helper's rows only
+        layers = (Tensor(w1), Tensor(np.full(8, 1.7e308)), Tensor(np.full((8, 3), 1e-300)),
+                  Tensor(np.zeros(3)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            tc.mlp(Tensor(x), *layers, 0.0, training=False, keep=None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tc.mlp(Tensor(x), *layers, 0.0, training=False, keep=None).data
+        assert np.isfinite(out[:8]).all() and np.isinf(out[8:]).all()
+
+    def test_user_threads_sharing_one_predictor_get_the_one_thread_bits(self, monkeypatch):
+        """Four user threads, more than the host's cores, each forecast their own windows
+        twenty times through one predictor under a short switch interval; every forecast
+        has the bits of a one-block forward on one thread."""
+        cfg = mdl.ModelConfig(horizon=4, n_endo=3, n_exo=2, lookback=16, d_model=8, t_ff=16,
+                              c_ff=16)
+        predict = mdl.predictor(mdl.XLinearParams(cfg, np.random.default_rng(32)), cfg)
+        rng = np.random.default_rng(33)
+        inputs = [(rng.normal(size=(16, 3, 16)), rng.normal(size=(16, 2, 16)))
+                  for _ in range(4)]
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 1 << 30)
+        want = [predict(*xs) for xs in inputs]
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        start, got = threading.Barrier(4), [[] for _ in inputs]
+
+        def user(i):
+            start.wait(timeout=10)
+            got[i] += [predict(*inputs[i]) for _ in range(20)]
+
+        users = [threading.Thread(target=user, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in users:
+                t.start()
+            for t in users:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in users)
+        for mine, ref in zip(got, want):
+            assert len(mine) == 20
+            for y in mine:
+                np.testing.assert_array_equal(y, ref)
+
+    def test_a_changed_process_id_gets_a_new_helper(self, monkeypatch, walks):
+        """As in a forked child, whose parent's helper thread does not exist."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        w1, b1, w2, b2 = self.layers()
+        x = Tensor(np.random.default_rng(34).normal(size=(16, 5)))
+        want = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        pid = os.getpid()
+        pool = tc._helpers[pid]
+        child = max(tc._helpers) + 1
+        monkeypatch.setattr(tc.os, "getpid", lambda: child)
+        try:
+            got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+            assert tc._helpers[child] is not pool
+        finally:
+            tc._helpers.pop(child).shutdown(wait=True)
+        assert tc._helpers[pid] is pool
+        parent, child = ({ident for ident, _ in run} - {threading.get_ident()}
+                         for run in (walks[:2], walks[2:]))
+        assert len(parent) == len(child) == 1 and parent != child
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_a_traced_eval_has_the_spans_of_a_one_thread_walk(self, tmp_path, monkeypatch,
+                                                              walks):
+        """The helper calls nothing the benchmark's tracer patches, so a traced ``eval``
+        opens the same spans with the same parents and counts the same as one whose
+        halves both run on the caller, and writes the same metrics."""
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench"))
+        try:
+            import harness
+            import tracer as trc
+        finally:
+            sys.path.pop(0)
+        run = harness.Run("infer", 3, 0.0, True, str(tmp_path), harness.TINY)
+        run.prepare()
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        runs = []
+        for pool in (tc._helper, InlinePool):
+            out = tmp_path / f"eval_{len(runs)}"
+            del walks[:]
+            monkeypatch.setattr(tc, "_helper", pool)
+            t = trc.Tracer()
+            with t.active():
+                assert cli.main(["eval", "--checkpoint", run.ckpt_path, "--split", "test",
+                                 "--out-dir", str(out)]) == 0
+            threads = {ident for ident, _ in walks}
+            runs.append(([(name, parent) for name, _, _, parent in t.spans], dict(t.counts),
+                         (out / "metrics_test.csv").read_bytes(), len(threads)))
+        (spans, counts, metrics, threads), (ref_spans, ref_counts, ref_metrics, one) = runs
+        assert (threads, one) == (2, 1)
+        assert "model.vgm.eval" in {name for name, _ in spans}
+        assert spans == ref_spans
+        assert counts == ref_counts
+        assert metrics == ref_metrics
 
 
 class TestBackward:

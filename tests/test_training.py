@@ -151,6 +151,23 @@ class TestAdamStep:
             assert np.array_equal(got, want)
         assert runs[0][1][0] == 0.3 * tr.ADAM_BETA1 and runs[0][0][0] != 0.75
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_gradient_is_named_before_any_update(self, bad):
+        cfg = mdl.ModelConfig(horizon=3, n_endo=2, n_exo=2, lookback=6, d_model=4,
+                              t_ff=5, c_ff=5)
+        params = mdl.XLinearParams(cfg, np.random.default_rng(0))
+        state = tr.AdamState(params)
+        for _, p in params.named():
+            p.grad = np.ones_like(p.data)
+        params.vgm_w2.grad[1, 0] = bad
+        before = params.state_arrays()
+        with pytest.raises(NumericFault, match="^non-finite gradient of parameter 'vgm_w2'$"):
+            tr.adam_step(params, state, 0.01)
+        assert state.t == 0
+        for name, p in params.named():
+            assert np.array_equal(p.data, before[name]), name
+            assert not state.m[name].any() and not state.v[name].any(), name
+
     def test_three_steps_have_the_bits_of_the_expression(self):
         """The in-place update equals ``m*b1 + (1-b1)*g``, ``v*b2 + (1-b2)*g*g`` and
         ``p - lr*(m/bc1)/(sqrt(v/bc2) + eps)`` bit for bit over three steps, with a
@@ -356,6 +373,27 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFault, match=r"epoch \d+, batch \d+"):
                 tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
+
+    def test_a_non_finite_gradient_names_its_parameter_and_step(self, synth_ds, monkeypatch):
+        """An infinite gradient with a finite loss stops the run at its Adam step, not at the
+        next forward's ``embed`` check."""
+        real, batches = tr.accumulate_gradients, []
+
+        def one_infinite_grad(params, batch, masks):
+            loss = real(params, batch, masks)
+            batches.append(len(batch))
+            if len(batches) == 2:
+                g = params.tgm_w1.grad.copy()
+                g[0, 0] = np.inf
+                params.tgm_w1.grad = g
+            return loss
+
+        monkeypatch.setattr(tr, "accumulate_gradients", one_infinite_grad)
+        tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=64, max_epochs=2, patience=2)
+        with pytest.raises(NumericFault, match=r"^non-finite gradient of parameter 'tgm_w1' "
+                                               r"\(epoch 0, batch 1\)$"):
+            tr.train(synth_model_cfg(), tcfg, synth_ds, echo=False)
+        assert len(batches) == 2
 
     def test_stderr_echo(self, synth_ds, capsys):
         tcfg = tr.TrainConfig(lr_init=1e-3, batch_size=1024, max_epochs=1, patience=1)
