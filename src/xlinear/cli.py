@@ -128,7 +128,8 @@ def cmd_eval(args) -> int:
 
 def _forward_input(args):
     """Restore ``args.checkpoint``, check any ``--horizon`` against it, and run one eval forward
-    over the last L rows of ``args.input``; returns (run_cfg, horizon, ds, yhat array, trace)."""
+    over the last L rows of ``args.input``, read alone where they can be; returns (run_cfg,
+    horizon, ds, yhat array, trace)."""
     ckpt, run_cfg, cfg, params = _restore(args)
     horizon = cfg.horizon if getattr(args, "horizon", None) is None else args.horizon
     if not 1 <= horizon <= cfg.horizon:
@@ -136,7 +137,7 @@ def _forward_input(args):
                          f"checkpoint, got {horizon}")
     d = run_cfg.data
     ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
-                                  date_column=d.date_column)
+                                  date_column=d.date_column, tail_rows=cfg.lookback)
     yhat, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
     return run_cfg, horizon, ds, yhat.data, trace
 

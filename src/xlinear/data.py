@@ -2,7 +2,11 @@
 
 Training fits the scaler (:func:`load_csv`, :func:`split_and_scale`);
 eval, predict and export-weights reapply the one a checkpoint stored
-(:func:`load_csv_with_scaler`, :func:`last_window`).
+(:func:`load_csv_with_scaler`, :func:`last_window`). Training and eval read
+and check every row (:func:`read_csv_values`); predict and export-weights
+read the header and the last L rows alone (:func:`read_csv_tail`), and fall
+back to the whole-file read, with its error messages, when the tail is not
+plain text.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import csv
 import io
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +43,7 @@ class TimeSeriesDataset:
     scaler_mean: np.ndarray | None = None
     scaler_std: np.ndarray | None = None
     split_bounds: tuple | None = None  # ((a,b) train, (a,b) val, (a,b) test)
+    first_row: int | None = 0  # data row of the CSV in values[0]; None: rows before uncounted
 
     @property
     def n_rows(self) -> int:
@@ -85,7 +91,9 @@ class WindowBatch:
     endo_history: np.ndarray  # [batch x M x L]
     exo_history: np.ndarray  # [batch x C x L]; in multivariate mode the same array
     endo_future: np.ndarray | None = None  # [batch x M x S]; None when forecasting
-    origins: np.ndarray | None = None  # window start rows, maps windows back to the CSV
+    # window start rows, maps windows back to the CSV; None for a forecast window read from
+    # the tail of a file, whose rows before it were never counted
+    origins: np.ndarray | None = None
 
     def __len__(self):
         return self.endo_history.shape[0]
@@ -110,17 +118,68 @@ def read_csv_values(path, limit_rows: int | None = None, date_column: str = "dat
                   or _scan_values(path, text, limit_rows, date_column))
     except csv.Error as e:  # e.g. a cell over the csv module's field size limit
         raise DataError(f"{path}: unreadable CSV ({e})") from None
-    names = parsed[0]
+    fault = _header_fault(parsed[0])
+    if fault:
+        raise DataError(f"{path}: {fault}")
+    return parsed
+
+
+def _header_fault(names) -> str | None:
+    """What is wrong with a header's value column names, or None."""
     if "" in names:  # a name that is blank once stripped
-        raise DataError(f"{path}: value column {names.index('') + 1} has an empty name in header")
+        return f"value column {names.index('') + 1} has an empty name in header"
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
-        raise DataError(f"{path}: repeated column name {repeated[0]!r} in header")
+        return f"repeated column name {repeated[0]!r} in header"
     unsafe = [n for n in names if any(c in n for c in ',"\r\n')]
     if unsafe:  # the output CSVs write names unquoted
-        raise DataError(f"{path}: column name {unsafe[0]!r} in header holds a comma, quote "
-                        "or line break, which an output CSV header cannot carry")
-    return parsed
+        return (f"column name {unsafe[0]!r} in header holds a comma, quote or line break, "
+                "which an output CSV header cannot carry")
+    return None
+
+
+TAIL_BLOCK = 1 << 14  # bytes of read_csv_tail's first read back from the end; each next doubles
+
+
+def read_csv_tail(path, n_rows: int, date_column: str = "date"):
+    """The last ``n_rows`` rows of :func:`read_csv_values`, from the header line and the last
+    ``n_rows`` non-blank lines alone (UTF-8, the header with an optional BOM, CRLF folded
+    to LF), parsed by :func:`_parse_plain` and checked as that reads them; rows before
+    those are neither read nor checked. None, so that the caller reads the whole file and
+    reports any fault, where ``path`` is not a regular file (a pipe cannot be read from
+    its end) or has fewer than ``n_rows`` data lines, or where what was read holds a byte,
+    cell, row or name that is refused or that only the ``csv`` scan reads (a quote, a
+    bare CR)."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            lines = _last_lines(fh, len(head), n_rows)
+        if lines is None:
+            return None
+        text = head.decode("utf-8-sig") + b"\n".join(lines).decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    parsed = _parse_plain(text, None, date_column)
+    return parsed if parsed and not _header_fault(parsed[0]) else None
+
+
+def _last_lines(fh, start: int, n: int):
+    """The last ``n`` non-blank lines of binary file ``fh`` after byte ``start``, CRLF
+    folded to LF, read in blocks back from its end; None if it has fewer."""
+    pos, step, buf = fh.seek(0, os.SEEK_END), TAIL_BLOCK, b""
+    while pos > start:
+        at = max(start, pos - step)
+        fh.seek(at)
+        buf = fh.read(pos - at) + buf
+        pos, step = at, 2 * step
+        # bytes.replace costs a pass even with no CR in the block; the `in` test is cheaper
+        folded = buf.replace(b"\r\n", b"\n") if b"\r" in buf else buf
+        lines = [ln for ln in folded.split(b"\n")[pos > start:] if ln]  # drop a cut first line
+        if len(lines) >= n:
+            return lines[-n:]
+    return None
 
 
 def check_limit_rows(limit_rows: int | None):
@@ -306,17 +365,21 @@ def _scaled(values: np.ndarray, mean: np.ndarray, std: np.ndarray, names) -> np.
 
 
 def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
-                         limit_rows: int | None = None,
-                         date_column: str = "date") -> TimeSeriesDataset:
+                         limit_rows: int | None = None, date_column: str = "date",
+                         tail_rows: int | None = None) -> TimeSeriesDataset:
     """Read a series CSV into the scaled space of a stored scaler.
 
     ``scaler`` is a checkpoint's :func:`scaler_dict`. The file's columns
     must match its variables; the stored statistics are applied as they
     are, never refit, and constant columns are allowed, so any file is
     scored in the space the model was trained in. Split bounds follow
-    ``ratios`` as in :func:`split_and_scale`.
+    ``ratios`` as in :func:`split_and_scale`. With ``tail_rows`` (and no
+    ``limit_rows``) the dataset holds only the last ``tail_rows`` rows when
+    :func:`read_csv_tail` can read them, with ``first_row`` None, and else
+    every row, by :func:`read_csv_values`.
     """
-    names, values = read_csv_values(path, limit_rows, date_column)
+    parsed = tail_rows and read_csv_tail(path, tail_rows, date_column)
+    names, values = parsed or read_csv_values(path, limit_rows, date_column)
     try:
         stored = list(scaler["variable_names"])
         mean = np.asarray(scaler["mean"], dtype=np.float64)
@@ -336,7 +399,8 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
                       f"{float(mean[j])!r}, std {float(std[j])!r}; need finite values, std > 0")
     return TimeSeriesDataset(
         variable_names=names, values=_scaled(values, mean, std, names), target_mode=target_mode,
-        scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios))
+        scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios),
+        first_row=None if parsed else 0)
 
 
 def scaler_dict(ds: TimeSeriesDataset) -> dict:
@@ -398,7 +462,8 @@ def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: 
 
 
 def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
-    """The trailing ``L`` rows as one window to forecast from."""
+    """The trailing ``L`` rows as one window to forecast from; its origin is None when
+    ``ds.first_row`` is."""
     if ds.n_rows < L:
         raise DataError(f"input has {ds.n_rows} rows; prediction needs the "
                         f"trailing L = {L} rows of every variable")
@@ -406,7 +471,7 @@ def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
     return WindowBatch(
         endo_history=np.ascontiguousarray(win[:, ds.endo]),
         exo_history=np.ascontiguousarray(win[:, ds.exo]),
-        origins=np.array([ds.n_rows - L]),
+        origins=None if ds.first_row is None else np.array([ds.first_row + ds.n_rows - L]),
     )
 
 

@@ -11,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from xlinear import data as dio
 from xlinear import metrics as mx
 from xlinear import model as mdl
 from xlinear.config import DataConfig, RunConfig, load_run_config
-from xlinear.errors import ConfigError
+from xlinear.errors import ConfigError, DataError
 from xlinear.training import TrainConfig
 
 from synthetic_series import lagged_sine_series, write_csv, write_synthetic_csv
@@ -74,6 +75,14 @@ def trained(tmp_path_factory):
             "checkpoint": out_dir / cli.CHECKPOINT_NAME}
 
 
+@pytest.fixture(scope="module")
+def plain_forecast(trained, tmp_path_factory):
+    """The bytes of ``predict`` on the unedited training CSV."""
+    out = tmp_path_factory.mktemp("plain")
+    assert cli.main(csv_argv("predict", trained, out, trained["csv"])) == 0
+    return (out / "out" / "forecast.csv").read_bytes()
+
+
 def csv_argv(command, trained, tmp_path, csv_path):
     """``train`` on ``csv_path`` with a one-epoch config, or ``predict`` on it
     with the shared checkpoint; both write under ``tmp_path``."""
@@ -84,25 +93,46 @@ def csv_argv(command, trained, tmp_path, csv_path):
 
 
 def edit_line(i, fn):
-    return lambda raw: b"\n".join(fn(ln) if k == i else ln for k, ln in enumerate(raw.split(b"\n")))
+    """An edit of a file's bytes that applies ``fn`` to line index ``i`` (0 is the header; -2
+    is the last data line of a file that ends in a newline)."""
+    def edit(raw):
+        lines = raw.split(b"\n")
+        lines[i] = fn(lines[i])
+        return b"\n".join(lines)
+    return edit
 
 
-# fault -> (edit of the training CSV's bytes, exit code of train, exit code of predict)
+LOOKBACK = 24  # of make_config: the rows predict forecasts from
+LAST_ROW = -2  # line index of the 400-row CSV's last data line, file line 401
+FIRST_WINDOW_ROW = 400 - LOOKBACK + 1  # line index of the window's first row, file line 378
+
+# fault -> the edit of one data line that makes it malformed
+ROW_FAULTS = {
+    "ragged_row": lambda ln: ln + b",1.5",
+    "non_numeric_cell": lambda ln: b"1.5,abc",
+    "nan_cell": lambda ln: b"nan,1.5",
+    "inf_cell": lambda ln: b"1.5,-inf",
+    "non_utf8_byte": lambda ln: ln + b"\xff",
+    "nul_byte": lambda ln: ln[:3] + b"\x00" + ln[3:],
+}
+# fault -> (edit of the training CSV's bytes, exit code of train, exit code of predict);
+# predict reads only the last L rows, so a malformed row 9 is not read and changes nothing
 MALFORMED_CSV = {
-    "ragged_row": (edit_line(9, lambda ln: ln + b",1.5"), 3, 3),
-    "non_numeric_cell": (edit_line(9, lambda ln: b"1.5,abc"), 3, 3),
-    "nan_cell": (edit_line(9, lambda ln: b"nan,1.5"), 3, 3),
-    "inf_cell": (edit_line(9, lambda ln: b"1.5,-inf"), 3, 3),
+    **{fault: (edit_line(9, fn), 3, 0) for fault, fn in ROW_FAULTS.items()},
     "empty_file": (lambda raw: b"", 3, 3),
     "header_only": (lambda raw: raw.split(b"\n")[0] + b"\n", 3, 3),
     "duplicate_header": (edit_line(0, lambda ln: b"x,x"), 3, 3),
     "bom": (lambda raw: b"\xef\xbb\xbf" + raw, 0, 0),
-    "non_utf8_byte": (edit_line(9, lambda ln: ln + b"\xff"), 3, 3),
-    "nul_byte": (edit_line(9, lambda ln: ln[:3] + b"\x00" + ln[3:]), 3, 3),
     "quoted_cells": (lambda raw: re.sub(rb"[^,\n]+", rb'"\g<0>"', raw), 0, 0),
     "crlf_line_ends": (lambda raw: raw.replace(b"\n", b"\r\n"), 0, 0),
     "bare_cr_line_ends": (lambda raw: raw.replace(b"\n", b"\r"), 0, 0),
 }
+# up to three (share of the file, bytes cut, token put there) edits of a CSV's bytes
+BYTE_EDITS = st.lists(st.tuples(
+    st.floats(0, 1), st.integers(0, 3),
+    st.sampled_from([b"", b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xef\xbb\xbf",
+                     b"nan", b"-inf", b"#", b" ", b"x", b"_", b"\xd9\xa1", b"e9"])),
+    min_size=1, max_size=3)
 # error code -> exit code, as the README documents them
 EXIT_CODES = {"config": 2, "usage": 2, "data": 3, "dimension": 3, "numeric": 4, "io": 5}
 
@@ -270,6 +300,61 @@ class TestPredict:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error[usage]: xlinear") and "--seed" in err[0]
 
+    def test_reads_the_window_alone_past_rows_that_are_not_utf8(self, trained, plain_forecast,
+                                                               tmp_path, monkeypatch):
+        """On a 5 MB file whose rows before the last L are not UTF-8, ``predict`` reads under
+        1% of the bytes, counted as the operating system returns them, and forecasts as from
+        the unedited file."""
+        head, _, body = trained["csv"].read_bytes().partition(b"\n")
+        big = tmp_path / "big.csv"
+        big.write_bytes(head + b"\n" + b"\xff\xfe,\xff\n" * ((5 << 20) // 5) + body)
+        with pytest.raises(DataError, match="not UTF-8"):
+            dio.read_csv_values(big)
+        got = []
+
+        class CountingFile(io.FileIO):
+            def readinto(self, b):
+                n = super().readinto(b)
+                got.append(n or 0)
+                return n
+
+            def readall(self):
+                out = super().readall()
+                got.append(len(out))
+                return out
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if mode != "rb":
+                return open(path, mode, *args, **kwargs)
+            return io.BufferedReader(CountingFile(path, "rb"))
+
+        monkeypatch.setattr(dio, "open", counting_open, raising=False)
+        assert cli.main(csv_argv("predict", trained, tmp_path, big)) == 0
+        assert 0 < sum(got) < 0.01 * os.path.getsize(big) and os.path.getsize(big) > 5e6
+        assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast
+
+    def test_fifo_input_forecasts_through_the_whole_file_read(self, trained, plain_forecast,
+                                                              tmp_path):
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+        assert dio.read_csv_tail(fifo, LOOKBACK) is None  # a pipe is not read from its end
+        raw = trained["csv"].read_bytes()
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(raw)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            rc = cli.main(csv_argv("predict", trained, tmp_path, fifo))
+        finally:
+            if writer.is_alive():  # a failed call may never open the pipe: free the writer
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+        assert rc == 0 and not writer.is_alive()
+        assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast
+
     def test_too_few_rows(self, trained, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("x,y\n" + "\n".join(f"{i}.0,{i}.5" for i in range(10)) + "\n")
@@ -326,6 +411,24 @@ class TestExportWeights:
         assert v_lines[-1].startswith("glob_y,")
         vals = [float(v) for v in t_lines[1].split(",")[1:]]
         assert all(0.0 < v < 1.0 for v in vals)  # sigmoid gates
+
+    def test_trailing_rows_and_whole_file_read_export_the_same_bytes(self, trained, tmp_path,
+                                                                     monkeypatch, capsys):
+        """The 400-row CSV, its trailing-L copy, and the 400-row CSV read whole as a pipe
+        would be give byte-identical gate files."""
+        lines = trained["csv"].read_bytes().split(b"\n")
+        tail = tmp_path / "tail.csv"
+        tail.write_bytes(b"\n".join(lines[:1] + lines[-LOOKBACK - 1:]))
+
+        def export(csv_path, out):
+            assert cli.main(["export-weights", "--checkpoint", str(trained["checkpoint"]),
+                             "--input", str(csv_path), "--out-dir", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("time_gate.csv", "variate_gate.csv")]
+
+        full = export(trained["csv"], tmp_path / "full")
+        assert export(tail, tmp_path / "tail") == full
+        monkeypatch.setattr(dio, "read_csv_tail", lambda *args: None)
+        assert export(trained["csv"], tmp_path / "whole") == full
 
 
 class TestMultivariate:
@@ -730,16 +833,42 @@ class TestErrors:
         assert err[0].startswith("error[config]: model too large to allocate: " + reason)
 
     @pytest.mark.parametrize("command", ["train", "predict"])
-    def test_non_utf8_csv_one_data_line(self, trained, tmp_path, capsys, command):
+    def test_non_utf8_csv_one_data_line(self, trained, plain_forecast, tmp_path, capsys,
+                                        command):
+        """``train`` refuses the byte; ``predict`` does not read line 5, so it forecasts as
+        from the unedited file."""
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(edit_line(4, lambda ln: ln + b"\xff")(trained["csv"].read_bytes()))
-        assert cli.main(csv_argv(command, trained, tmp_path, bad)) == 3
+        rc = cli.main(csv_argv(command, trained, tmp_path, bad))
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error[data]: {bad}, line 5: not UTF-8 text (invalid start byte)"]
+        if command == "train":
+            assert rc == 3
+            assert err == [f"error[data]: {bad}, line 5: not UTF-8 text (invalid start byte)"]
+        else:
+            assert rc == 0 and err == []
+            assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast
+
+    @pytest.mark.parametrize("line, rc", [(FIRST_WINDOW_ROW - 1, 0), (FIRST_WINDOW_ROW, 3)],
+                             ids=["row_before_the_window", "first_window_row"])
+    def test_non_utf8_byte_in_the_window_is_one_data_line(self, trained, plain_forecast,
+                                                          tmp_path, capsys, line, rc):
+        """``predict`` refuses a byte that is not UTF-8 in the first of the last L rows, with
+        the whole-file read's line number, and forecasts past one in the row before."""
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(edit_line(line, lambda ln: b"\xff" + ln)(trained["csv"].read_bytes()))
+        assert cli.main(csv_argv("predict", trained, tmp_path, bad)) == rc
+        err = capsys.readouterr().err.splitlines()
+        if rc:
+            assert err == [f"error[data]: {bad}, line {line + 1}: not UTF-8 text "
+                           "(invalid start byte)"]
+        else:
+            assert err == [] and (tmp_path / "out" / "forecast.csv").read_bytes() == \
+                plain_forecast
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("fault", sorted(MALFORMED_CSV))
-    def test_malformed_csv_one_line_or_success(self, trained, tmp_path, capsys, command, fault):
+    def test_malformed_csv_one_line_or_success(self, trained, plain_forecast, tmp_path, capsys,
+                                               command, fault):
         edit, train_rc, predict_rc = MALFORMED_CSV[fault]
         bad = tmp_path / "bad.csv"
         bad.write_bytes(edit(trained["csv"].read_bytes()))
@@ -751,10 +880,20 @@ class TestErrors:
             lines = err.splitlines()
             assert len(lines) == 1 and re.fullmatch(r"error\[(data|dimension)\]: .+", lines[0])
         elif command == "predict":  # the same forecast as from the file before the edit
-            plain = tmp_path / "plain"
-            assert cli.main(csv_argv("predict", trained, plain, trained["csv"])) == 0
-            assert (tmp_path / "out" / "forecast.csv").read_bytes() == \
-                   (plain / "out" / "forecast.csv").read_bytes()
+            assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast
+
+    @pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+    def test_malformed_last_row_is_the_whole_file_error(self, trained, tmp_path, capsys, fault):
+        """A fault in a row ``predict`` forecasts from is the one error line of the whole-file
+        read, line number included."""
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(edit_line(LAST_ROW, ROW_FAULTS[fault])(trained["csv"].read_bytes()))
+        with pytest.raises(DataError) as whole:
+            dio.read_csv_values(bad)
+        assert f"{bad}, line 401" in str(whole.value)
+        assert cli.main(csv_argv("predict", trained, tmp_path, bad)) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error[data]: {whole.value}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("header", ["x,x", "date,x,x", "x,y,x"])
@@ -806,39 +945,59 @@ class TestErrors:
         assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
-    def test_cell_over_the_csv_field_limit_is_one_data_error(self, trained, tmp_path, capsys,
-                                                             command):
+    def test_cell_over_the_csv_field_limit_is_one_data_error(self, trained, plain_forecast,
+                                                             tmp_path, capsys, command):
+        """``train`` refuses the cell; ``predict`` does not read line 10, so it forecasts as
+        from the unedited file."""
         bad = tmp_path / "bad.csv"
         bad.write_bytes(edit_line(9, lambda ln: b"1.5," + b"x" * 200_000)(
             trained["csv"].read_bytes()))
         rc = cli.main(csv_argv(command, trained, tmp_path, bad))
         lines = capsys.readouterr().err.splitlines()
-        assert rc == 3
-        assert len(lines) == 1 and lines[0].startswith(f"error[data]: {bad}: "), lines
+        if command == "train":
+            assert rc == 3
+            assert len(lines) == 1 and lines[0].startswith(f"error[data]: {bad}: "), lines
+        else:
+            assert rc == 0 and lines == []
+            assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast
+
+    def test_cell_over_the_csv_field_limit_in_the_last_row_is_one_data_error(
+            self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(edit_line(LAST_ROW, lambda ln: b"1.5," + b"x" * 200_000)(
+            trained["csv"].read_bytes()))
+        with pytest.raises(DataError) as whole:
+            dio.read_csv_values(bad)
+        assert cli.main(csv_argv("predict", trained, tmp_path, bad)) == 3
+        assert capsys.readouterr().err.splitlines() == [f"error[data]: {whole.value}"]
+        assert str(whole.value).startswith(f"{bad}: unreadable CSV (field larger than")
 
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-    @given(edits=st.lists(st.tuples(
-        st.floats(0, 1), st.integers(0, 3),
-        st.sampled_from([b"", b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xef\xbb\xbf",
-                         b"nan", b"-inf", b"#", b" ", b"x", b"_", b"\xd9\xa1", b"e9"])),
-        min_size=1, max_size=3))
+    @given(edits=BYTE_EDITS)
     def test_mutated_csv_keeps_the_error_contract(self, trained, tmp_path_factory, edits):
         raw = trained["csv"].read_bytes()
         for where, cut, token in edits:  # replace `cut` bytes at `where` by `token`
             at = int(where * len(raw))
             raw = raw[:at] + token + raw[at + cut:]
-        root = tmp_path_factory.getbasetemp()
-        (root / "mutated.csv").write_bytes(raw)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(csv_argv("predict", trained, root, root / "mutated.csv"))
-        lines = err.getvalue().splitlines()
-        if rc:
-            assert len(lines) == 1, lines
-            match = re.fullmatch(r"error\[([a-z]+)\]: .+", lines[0])
-            assert match and rc == EXIT_CODES[match.group(1)], lines
-        else:
-            assert lines == []
+        assert_predict_one_line_or_success(trained, tmp_path_factory.getbasetemp(), raw)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(edits=BYTE_EDITS)
+    def test_mutated_header_or_window_keeps_the_error_contract(self, trained, tmp_path_factory,
+                                                               edits):
+        """The byte edits of the test above, landing only in the bytes ``predict`` reads: the
+        header line and the last L rows."""
+        raw = trained["csv"].read_bytes()
+        head_end = raw.index(b"\n") + 1
+        window_start = len(raw) - len(b"\n".join(raw.split(b"\n")[-LOOKBACK - 1:]))
+        spots = []
+        for where, cut, token in edits:  # `where` is a share of header and window bytes
+            at = int(where * (head_end + len(raw) - window_start))
+            at = at if at < head_end else window_start + at - head_end
+            spots.append((at, cut, token))
+        for at, cut, token in sorted(spots, reverse=True):  # later edits keep earlier offsets
+            raw = raw[:at] + token + raw[at + cut:]
+        assert_predict_one_line_or_success(trained, tmp_path_factory.getbasetemp(), raw)
 
     def test_error_line_is_machine_greppable(self, tmp_path, capsys):
         cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin")])
@@ -873,6 +1032,22 @@ class TestErrors:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[config]: cannot read config")
+
+
+def assert_predict_one_line_or_success(trained, root, raw):
+    """``predict`` on the CSV bytes ``raw`` exits 0 silently or with one error line whose code
+    matches its exit code."""
+    (root / "mutated.csv").write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(csv_argv("predict", trained, root, root / "mutated.csv"))
+    lines = err.getvalue().splitlines()
+    if rc:
+        assert len(lines) == 1, lines
+        match = re.fullmatch(r"error\[([a-z]+)\]: .+", lines[0])
+        assert match and rc == EXIT_CODES[match.group(1)], lines
+    else:
+        assert lines == []
 
 
 class TestRunConfigLayer:

@@ -502,3 +502,84 @@ class TestTwoCsvPaths:
         if not isinstance(want, str) and "" in want[0]:  # refused after either parse
             want = f"{path}: value column {want[0].index('') + 1} has an empty name in header"
         assert got == want, text
+
+
+@st.composite
+def tail_case(draw):
+    """(file bytes, L, whether read_csv_tail must fall back) of a valid series CSV: a BOM,
+    CRLF or LF line ends, blank lines anywhere after the header, quoted cells, L - 1 to
+    L + 2 data rows, and last cells padded with leading zeros, long enough that a block
+    boundary cuts a row."""
+    L = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 3))
+    has_date = draw(st.booleans())
+    header = ["date"] * has_date + [f"v{j}" for j in range(n_cols)]
+    pad = st.sampled_from([0, 1, dio.TAIL_BLOCK // 3, dio.TAIL_BLOCK - 30, dio.TAIL_BLOCK + 9])
+    rows = [[f"2020-01-01 {i:02d}:00"] * has_date + [draw(PLAIN_CELL) for _ in range(n_cols)]
+            for i in range(draw(st.integers(L - 1, L + 2)))]
+    for cells in rows:  # the same number, after any sign; a cut in it drops the commas before
+        sign = cells[-1][:1] if cells[-1][:1] in "+-" else ""
+        cells[-1] = sign + "0" * draw(pad) + cells[-1][len(sign):]
+    lines = [header, *rows]
+    for i in draw(st.sets(st.integers(0, len(rows)), max_size=2)):  # 0 is the header
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] = f'"{lines[i][j]}"'
+    for _ in range(draw(st.integers(0, 3))):  # blank lines, before the first row or after
+        lines.insert(draw(st.integers(1, len(lines))), [])
+    eols = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(",".join(cells) + eol for cells, eol in zip(lines, eols))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    quoted = any('"' in c for cells in [header, *rows[-L:]] for c in cells)
+    raw = b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode("utf-8")
+    return raw, L, len(rows) < L or quoted
+
+
+class TestTailRead:
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(case=tail_case())
+    @example(case=(b"v0\n1.5\n\n2.5\n", 2, False))  # a blank line inside the tail
+    @example(case=(b'v0\n"1.5"\n2.5\n', 1, False))  # a quote before the tail
+    @example(case=(b"v0\r\n1.5\r\n2.5", 2, False))  # exactly L rows, CRLF, no final newline
+    def test_equals_the_last_rows_of_the_whole_file_read(self, tmp_path_factory, case):
+        raw, L, falls_back = case
+        path = tmp_path_factory.getbasetemp() / "tail.csv"
+        path.write_bytes(raw)
+        got = dio.read_csv_tail(path, L)
+        if falls_back:
+            assert got is None
+            return
+        names, values = dio.read_csv_values(path)
+        assert got is not None and got[0] == names
+        assert got[1].dtype == np.float64 and got[1].shape == (L, len(names))
+        assert got[1].tobytes() == values[-L:].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "v0\n1.5\n2.5\r3.5\n",  # a bare CR in the tail
+        "v0\n1.5\n2.5\n\x1c3.5\n",  # whitespace to numpy, not to float
+        "v0\n1.5\n2.5\nnan\n",  # a cell read as non-finite
+        "v0\n1.5\n2.5,1\n3.5\n",  # a ragged row
+        "v0,v0\n1.5,1\n2.5,2\n3.5,3\n",  # a repeated name
+        "v0\n",  # no data rows
+    ])
+    def test_a_refused_tail_falls_back(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert dio.read_csv_tail(path, 2) is None
+
+    def test_not_utf8_in_the_tail_falls_back_and_before_it_is_not_read(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"v0\n\xff\n1.5\n2.5\n")
+        assert dio.read_csv_tail(path, 2)[1].tolist() == [[1.5], [2.5]]
+        assert dio.read_csv_tail(path, 3) is None
+
+    @pytest.mark.parametrize("tail, first_row", [(3, None), (None, 0)])
+    def test_a_tail_read_window_has_no_origin(self, toy_csv, tail, first_row):
+        scaler = {"variable_names": ["a", "b", "c"], "mean": [0.0] * 3, "std": [1.0] * 3}
+        ds = dio.load_csv_with_scaler(toy_csv, scaler, "multivariate", (0.6, 0.2, 0.2),
+                                      tail_rows=tail)
+        assert ds.first_row == first_row and ds.n_rows == (tail or 40)
+        whole = dio.load_csv_with_scaler(toy_csv, scaler, "multivariate", (0.6, 0.2, 0.2))
+        np.testing.assert_array_equal(ds.values, whole.values[-ds.n_rows:])
+        b = dio.last_window(ds, 3)
+        assert b.origins is None if tail else b.origins.tolist() == [37]
