@@ -89,7 +89,7 @@ class WindowBatch:
     """One batch of sliding windows, variables-major: [batch x vars x time]."""
 
     endo_history: np.ndarray  # [batch x M x L]
-    exo_history: np.ndarray  # [batch x C x L]; in multivariate mode the same array
+    exo_history: np.ndarray  # [batch x C x L]; in multivariate mode the same array object
     endo_future: np.ndarray | None = None  # [batch x M x S]; None when forecasting
     # window start rows, maps windows back to the CSV; None for a forecast window read from
     # the tail of a file, whose rows before it were never counted
@@ -143,42 +143,67 @@ TAIL_BLOCK = 1 << 14  # bytes of read_csv_tail's first read back from the end; e
 
 def read_csv_tail(path, n_rows: int, date_column: str = "date"):
     """The last ``n_rows`` rows of :func:`read_csv_values`, from the header line and the last
-    ``n_rows`` non-blank lines alone (UTF-8, the header with an optional BOM, CRLF folded
-    to LF), parsed by :func:`_parse_plain` and checked as that reads them; rows before
-    those are neither read nor checked. None, so that the caller reads the whole file and
-    reports any fault, where ``path`` is not a regular file (a pipe cannot be read from
-    its end) or has fewer than ``n_rows`` data lines, or where what was read holds a byte,
-    cell, row or name that is refused or that only the ``csv`` scan reads (a quote, a
-    bare CR)."""
+    ``n_rows`` non-blank lines alone (UTF-8, the header with an optional BOM), parsed by
+    :func:`_parse_plain` and checked as that reads them; rows before those are neither
+    read nor checked, but a file of one :data:`TAIL_BLOCK` is parsed whole first, and
+    searched for its last lines only when that parse refuses it. None, so that the caller
+    reads the whole file and reports any fault, where ``path`` is not a regular file (a
+    pipe cannot be read from its end) or has fewer than ``n_rows`` data lines, or where
+    what was read holds a byte, cell, row or name that is refused or that only the ``csv``
+    scan reads (a quote, a bare CR)."""
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
             return None
-        with open(path, "rb") as fh:
-            head = fh.readline()
-            lines = _last_lines(fh, len(head), n_rows)
-        if lines is None:
-            return None
-        text = head.decode("utf-8-sig") + b"\n".join(lines).decode("utf-8")
-    except (OSError, UnicodeDecodeError):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            first = os.read(fd, TAIL_BLOCK)  # a small file whole; else its header
+            start = first.find(b"\n") + 1
+            parsed = info.st_size == len(first) and _parse_tail(first, b"", n_rows, date_column)
+            if not parsed:
+                tail = start and _tail(fd, first, start, info.st_size, n_rows)
+                parsed = tail and _parse_tail(first[:start], tail, n_rows, date_column)
+        finally:
+            os.close(fd)
+    except OSError:
+        return None
+    return parsed or None
+
+
+def _parse_tail(head: bytes, tail: bytes, n: int, date_column: str):
+    """The last ``n`` rows :func:`_parse_plain` reads from a header line and data lines, or
+    None where it reads fewer or refuses them, or they are not UTF-8."""
+    try:
+        text = head.decode("utf-8-sig") + tail.decode("utf-8")
+    except UnicodeDecodeError:
         return None
     parsed = _parse_plain(text, None, date_column)
-    return parsed if parsed and not _header_fault(parsed[0]) else None
+    if not parsed or len(parsed[1]) < n or _header_fault(parsed[0]):
+        return None
+    return parsed[0], parsed[1][-n:]
 
 
-def _last_lines(fh, start: int, n: int):
-    """The last ``n`` non-blank lines of binary file ``fh`` after byte ``start``, CRLF
-    folded to LF, read in blocks back from its end; None if it has fewer."""
-    pos, step, buf = fh.seek(0, os.SEEK_END), TAIL_BLOCK, b""
+def _tail(fd: int, first: bytes, start: int, size: int, n: int):
+    """The bytes of the ``size``-byte file open as ``fd``, whose first bytes are ``first`` and
+    whose header line ends at ``start``, from the first of its last ``n`` non-blank lines to
+    its end, read in blocks back from the end; None if it has fewer. An empty line and the
+    CR of a blank CRLF line are blank; the blank lines among and after the ``n`` stay in,
+    for :func:`_parse_plain` drops them."""
+    pos, step, buf = size, TAIL_BLOCK, b""
     while pos > start:
-        at = max(start, pos - step)
-        fh.seek(at)
-        buf = fh.read(pos - at) + buf
+        at = max(start - 1, pos - step)  # at start - 1 the block opens with the header's LF
+        buf = (first[at:pos] if pos <= len(first) else os.pread(fd, pos - at, at)) + buf
         pos, step = at, 2 * step
-        # bytes.replace costs a pass even with no CR in the block; the `in` test is cheaper
-        folded = buf.replace(b"\r\n", b"\n") if b"\r" in buf else buf
-        lines = [ln for ln in folded.split(b"\n")[pos > start:] if ln]  # drop a cut first line
-        if len(lines) >= n:
-            return lines[-n:]
+        k = n + buf.endswith(b"\n")  # a final LF ends the file with an empty line
+        while True:  # the lines after the last k LFs; the text before the first may be cut
+            lines = buf.rsplit(b"\n", k)
+            blank = lines.count(b"") + lines.count(b"\r") - (lines[0] in (b"", b"\r"))
+            found = len(lines) - 1 - blank
+            if found >= n:
+                return buf[len(lines[0]) + 1:]
+            if len(lines) <= k:
+                break  # every LF of the block is used: read the block before
+            k += n - found
     return None
 
 
@@ -451,12 +476,8 @@ def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: 
     for i in range(0, origins.size, batch_size):
         idx = origins[i:i + batch_size]
         win, ahead = hist[idx], fut[idx + L]
-        batch = WindowBatch(  # slices of all columns are the gathers themselves, not copies
-            endo_history=np.ascontiguousarray(win[:, ds.endo]),
-            exo_history=np.ascontiguousarray(win[:, ds.exo]),
-            endo_future=np.ascontiguousarray(ahead[:, ds.endo]),
-            origins=idx,
-        )
+        batch = WindowBatch(*_histories(ds, win),  # all columns are the gather itself, no copy
+                            endo_future=np.ascontiguousarray(ahead[:, ds.endo]), origins=idx)
         del win, ahead  # the suspended generator would keep both whole gathers alive
         yield batch
 
@@ -469,10 +490,16 @@ def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
                         f"trailing L = {L} rows of every variable")
     win = np.ascontiguousarray(ds.values[-L:].T)[None]  # [1 x V x L]
     return WindowBatch(
-        endo_history=np.ascontiguousarray(win[:, ds.endo]),
-        exo_history=np.ascontiguousarray(win[:, ds.exo]),
+        *_histories(ds, win),
         origins=None if ds.first_row is None else np.array([ds.first_row + ds.n_rows - L]),
     )
+
+
+def _histories(ds: TimeSeriesDataset, win: np.ndarray) -> tuple:
+    """(endogenous, exogenous) histories of windows ``win`` [batch x vars x L]: one array
+    object in multivariate mode, where both are every column."""
+    endo = np.ascontiguousarray(win[:, ds.endo])
+    return endo, endo if ds.exo == ds.endo else np.ascontiguousarray(win[:, ds.exo])
 
 
 def n_windows(ds: TimeSeriesDataset, split: str, L: int, S: int) -> int:

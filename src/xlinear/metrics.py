@@ -200,17 +200,21 @@ def evaluate(model, ds: dio.TimeSeriesDataset, split: str, L: int, S: int,
              scaled: bool = True) -> MetricsReport:
     """Score ``model`` over every stride-1 window of a split.
 
-    Predictions and truths from :func:`split_forecasts` are pooled once into [windows x M x S]
-    arrays, and each variable's metrics are computed over all its points; with
-    ``scaled=False`` both are mapped back to original units first.
+    Predictions and truths from :func:`split_forecasts` (with ``scaled=False`` mapped back to
+    original units batch by batch) are pooled once, by one copy each, into [M x windows x S]
+    arrays, so each variable's points are one contiguous row that every metric reads in
+    place, in (window, step) order.
     """
-    yhat, y = (np.concatenate(parts) for parts in zip(*split_forecasts(model, ds, split, L, S)))
+    pairs = split_forecasts(model, ds, split, L, S)
     if not scaled:
-        yhat, y = dio.inverse_scale_forecast(ds, yhat), dio.inverse_scale_forecast(ds, y)
+        pairs = ((dio.inverse_scale_forecast(ds, yhat), dio.inverse_scale_forecast(ds, y))
+                 for yhat, y in pairs)
+    yhat, y = (np.concatenate([p.transpose(1, 0, 2) for p in parts], axis=1)
+               for parts in zip(*pairs))
     names = ds.endo_names
     per_variable, metric_errors, mape_excluded = {}, {}, {}
     for j, n in enumerate(names):
-        vals, errs, excl = _metrics_for(y[:, j], yhat[:, j])
+        vals, errs, excl = _metrics_for(y[j], yhat[j])
         per_variable[n] = vals
         mape_excluded[n] = excl
         if errs:

@@ -8,6 +8,11 @@ concatenated onto the endogenous embedding, a time-wise gating module
 global tokens, and a channel-independent linear head producing all S
 future steps at once. Gates are MLPs whose activated output multiplies
 the gated tensor elementwise.
+
+The global tokens are the same for every window, so their half of the TGM's
+first layer is computed once per batch, as a per-channel term; and in
+multivariate mode, where one history is both endogenous and exogenous, it is
+normalized once.
 """
 
 from __future__ import annotations
@@ -174,18 +179,20 @@ def revin_normalize(x: Tensor, affine=None):
     Mean and std (variance + 1e-5, so constant windows are safe) are
     computed per [batch, variable] row and kept for denormalization.
     ``affine`` is an optional (gamma, beta) tensor pair of shape [M].
+    Returns (normalized, normalized before the affine, stats); without
+    ``affine`` the first two are one tensor.
     """
     if x.ndim != 3 or x.shape[-1] < 2:
         raise DimensionError(f"expected [batch x vars x L] with L >= 2, got {x.shape}")
     mean = x.data.mean(axis=-1, keepdims=True)
     std = np.sqrt(x.data.var(axis=-1, keepdims=True) + REVIN_EPS)
     stats = RevinStats(mean=mean, std=std)
-    z = (x - Tensor(mean)) / Tensor(std)
+    plain = z = (x - Tensor(mean)) / Tensor(std)
     if affine is not None:
         gamma, beta = affine
         m = gamma.shape[0]
         z = z * tc.reshape(gamma, (m, 1)) + tc.reshape(beta, (m, 1))
-    return z, stats
+    return z, plain, stats
 
 
 def revin_denormalize(yhat: Tensor, stats: RevinStats, affine=None) -> Tensor:
@@ -215,27 +222,32 @@ def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool =
     return x, e
 
 
-def attach_global_tokens(x_endo: Tensor, global_tokens: Tensor) -> Tensor:
-    """Concatenate the per-variable learnable token after the embedding."""
+def attach_global_tokens(x_endo: Tensor, params: XLinearParams):
+    """Attach the per-variable learnable tokens to the embedding, as the TGM's first layer
+    reads them. That layer maps each channel's [embedding, token] by ``tgm_w1``, which is
+    ``x_endo @ tgm_w1[:d] + token @ tgm_w1[d:]``; the token half is the same for every
+    window, so it is computed here once, with ``tgm_b1``, as the [M x t_ff] per-channel term.
+    Returns (``tgm_w1[:d]``, that term)."""
     b, m, d = x_endo.shape
-    if global_tokens.shape != (m, d):
+    if params.global_tokens.shape != (m, d):
         raise DimensionError(
-            f"global tokens {global_tokens.shape} do not match embedding ({m}, {d})")
-    tok = tc.broadcast_to(tc.reshape(global_tokens, (1, m, d)), (b, m, d))
-    return tc.concat([x_endo, tok], axis=-1)
+            f"global tokens {params.global_tokens.shape} do not match embedding ({m}, {d})")
+    w_endo, w_tok = tc.split(params.tgm_w1, (d, d), axis=0)
+    return w_endo, params.global_tokens @ w_tok + params.tgm_b1
 
 
-def tgm(x_endo_tok: Tensor, params: XLinearParams, training: bool = False,
+def tgm(x_endo: Tensor, tokens, params: XLinearParams, training: bool = False,
         masks: dict | None = None):
-    """Time-wise gating: one MLP over the 2*d_model axis, shared by all
-    variables, whose activated output reweights the token sequence."""
+    """Time-wise gating: one MLP over the 2*d_model axis of [embedding, token], shared by
+    all variables, whose activated output reweights that sequence. ``tokens`` is
+    :func:`attach_global_tokens`' pair: the first layer's embedding rows and the token term,
+    which stands for the token half of every row."""
     cfg = params.cfg
-    h = tc.mlp(x_endo_tok, params.tgm_w1, params.tgm_b1, params.tgm_w2, params.tgm_b2,
-               cfg.t_dropout, training, (masks or {}).get("tgm"))
-    gate = tc.activation(h, cfg.gate_activation)
-    gated = gate * x_endo_tok
-    x_endo, x_glob = tc.split(gated, (cfg.d_model, cfg.d_model), axis=-1)
-    return x_endo, x_glob, gate
+    w_endo, term = tokens
+    gate = tc.mlp(x_endo, w_endo, term, params.tgm_w2, params.tgm_b2, cfg.t_dropout, training,
+                  (masks or {}).get("tgm"), cfg.gate_activation)
+    g_endo, g_glob = tc.split(gate, (cfg.d_model, cfg.d_model), axis=-1)
+    return g_endo * x_endo, g_glob * params.global_tokens, gate
 
 
 def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
@@ -255,9 +267,8 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     ones = Tensor(np.ones((x_glob.shape[0], 1, cfg.d_model)))
     t = tc.transpose(tc.concat([e_exo, x_glob, ones], axis=1))  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
-    h = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
-               (masks or {}).get("vgm"))
-    gate = tc.activation(h, cfg.gate_activation)
+    gate = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
+                  (masks or {}).get("vgm"), cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
     gate = tc.transpose(gate)  # [b x M x d]
@@ -288,28 +299,33 @@ def forward(batch, params: XLinearParams, training: bool = False,
     Returns the denormalized prediction tensor [batch x M x S] and a ForwardTrace. Ablations
     blank one half of the head input: endo_only keeps the temporally gated endogenous
     features, global_only keeps the exogenous-informed global tokens. In training ``masks``
-    holds the keep mask of each site of :func:`dropout_sites`, by name.
+    holds the keep mask of each site of :func:`dropout_sites`, by name. A batch whose
+    exogenous history is its endogenous array (multivariate mode) is normalized once.
     """
     cfg = params.cfg
+    one = batch.exo_history is batch.endo_history
     x_raw = Tensor(batch.endo_history)
-    e_raw = Tensor(batch.exo_history)
+    e_raw = x_raw if one else Tensor(batch.exo_history)
     if x_raw.shape[1] != cfg.n_endo or e_raw.shape[1] != cfg.n_exo:
         raise DimensionError(
             f"batch has {x_raw.shape[1]} endo / {e_raw.shape[1]} exo channels, "
             f"config expects {cfg.n_endo} / {cfg.n_exo}")
     _check_finite(x_raw.data, "input")
-    _check_finite(e_raw.data, "input")
+    if not one:
+        _check_finite(e_raw.data, "input")
 
     affine = (params.revin_gamma, params.revin_beta)
-    xn, stats = revin_normalize(x_raw, affine)
-    en, _ = revin_normalize(e_raw, None)  # stats discarded, never denormalized
+    xn, plain, stats = revin_normalize(x_raw, affine)
+    # the exogenous RevIN has no affine and its stats are never denormalized: for one
+    # history it is the endogenous one before its affine
+    en = plain if one else revin_normalize(e_raw)[0]
     _check_finite(xn.data, "revin")
 
     x_emb, e_emb = embed(xn, en, params, training, masks)
     _check_finite(x_emb.data, "embed")
-    tok = attach_global_tokens(x_emb, params.global_tokens)
+    tokens = attach_global_tokens(x_emb, params)
 
-    x_endo, x_glob, time_gate = tgm(tok, params, training, masks)
+    x_endo, x_glob, time_gate = tgm(x_emb, tokens, params, training, masks)
     _check_finite(time_gate.data, "tgm")
 
     x_glob2, variate_gate = vgm(e_emb, x_glob, params, training, masks)

@@ -240,7 +240,7 @@ def matmul(a: Tensor, w: Tensor) -> Tensor:
 # activations
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 1/(1+t) where x >= 0, else t/(1+t), with t = exp(-|x|) built in place: exp only of
     # non-positive values keeps this overflow-free
     t = np.abs(x)
@@ -248,7 +248,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     np.exp(t, out=t)
     num = np.maximum(t, x >= 0.0)
     t += 1.0
-    return np.divide(num, t, out=num)
+    return np.divide(num, t, out=num if out is None else out)
+
+
+def _activate(kind: str, x: np.ndarray, out: np.ndarray | None):
+    """``kind`` of the array ``x`` into ``out`` (a new array for None; it may be ``x``): the one
+    forward of :func:`activation` and of :func:`mlp`'s eval blocks. Returns the output and
+    the sigmoid of ``x`` for swish, whose pull reads it, else None."""
+    if kind == "relu":
+        return np.maximum(x, 0.0, out=out), None
+    if kind == "sigmoid":
+        return _sigmoid(x, out), None
+    if kind == "tanh":
+        return np.tanh(x, out=out), None
+    if kind == "swish":
+        s = _sigmoid(x)
+        return np.multiply(x, s, out=out), s
+    if kind == "softmax":
+        e = x - x.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        return np.divide(e, e.sum(axis=-1, keepdims=True), out=e if out is None else out), None
+    raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 
 def activation(x: Tensor, kind: str, keep: tuple[np.ndarray, float] | None = None) -> Tensor:
@@ -274,45 +294,24 @@ def activation(x: Tensor, kind: str, keep: tuple[np.ndarray, float] | None = Non
             np.multiply(g, live, out=buf)
             _accum(x, np.multiply(buf, c, out=buf))
 
-    elif kind == "relu":
-        out = _out(np.maximum(x.data, 0.0), x)
-
-        def pull(g):
-            _accum(x, g * (x.data > 0.0))
-
-    elif kind == "sigmoid":
-        y = _sigmoid(x.data)
-        out = _out(y, x)
-
-        def pull(g):
-            _accum(x, g * y * (1.0 - y))
-
-    elif kind == "tanh":
-        y = np.tanh(x.data)
-        out = _out(y, x)
-
-        def pull(g):
-            _accum(x, g * (1.0 - y * y))
-
-    elif kind == "swish":
-        s = _sigmoid(x.data)
-        out = _out(x.data * s, x)
-
-        def pull(g):
-            _accum(x, g * s * (1.0 + x.data * (1.0 - s)))
-
-    elif kind == "softmax":
-        z = x.data - x.data.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=-1, keepdims=True)
-        out = _out(y, x)
-
-        def pull(g):
-            gy = g * y
-            _accum(x, gy - y * gy.sum(axis=-1, keepdims=True))
-
     else:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
+        y, s = _activate(kind, x.data, None)
+        out = _out(y, x)
+
+        def pull(g):
+            if kind == "relu":
+                gx = g * (x.data > 0.0)
+            elif kind == "sigmoid":
+                gx = g * y * (1.0 - y)
+            elif kind == "tanh":
+                gx = g * (1.0 - y * y)
+            elif kind == "swish":
+                gx = g * s * (1.0 + x.data * (1.0 - s))
+            else:  # softmax
+                gy = g * y
+                gx = gy - y * gy.sum(axis=-1, keepdims=True)
+            _accum(x, gx)
+
     return _push(out, pull)
 
 
@@ -499,59 +498,75 @@ def dropout(x: Tensor, rate: float, training: bool, keep: np.ndarray | None) -> 
 MLP_BLOCK_FLOATS = 1 << 16  # floats per MLP or dropout-draw block: 512 KB, inside a 2 MB L2
 
 
-def _row_blocks(rows: int, width: int) -> list[int]:
+def _row_blocks(rows: int, width: int, period: int = 1) -> list[int]:
     """Bounds of the row blocks :func:`mlp` walks over a ``rows x width`` hidden layer: about
-    ``MLP_BLOCK_FLOATS // width`` rows each, starting at multiples of 8 rows, with a 1-row
-    tail joined to the block before it. BLAS rounds a misaligned or lone row (a
-    matrix-vector product) unlike the same row of one full-size product."""
-    step = max(MLP_BLOCK_FLOATS // width // 8, 1) * 8
+    ``MLP_BLOCK_FLOATS // width`` rows each, starting at multiples of 8 rows and of
+    ``period``, with a 1-row tail joined to the block before it. BLAS rounds a misaligned
+    or lone row (a matrix-vector product) unlike the same row of one full-size product."""
+    unit = math.lcm(8, period)
+    step = max(MLP_BLOCK_FLOATS // width // unit, 1) * unit
     return list(range(0, max(rows - 1, 1), step)) + [rows]
 
 
 def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
-        keep: np.ndarray | None) -> Tensor:
-    """``dropout(relu(x @ w1 + b1)) @ w2 + b2``; ``b1`` is None when the bias rides in ``w1``.
+        keep: np.ndarray | None, act: str | None = None) -> Tensor:
+    """``act(dropout(relu(x @ w1 + b1)) @ w2 + b2)``, a gate for an activation kind ``act``
+    and the plain layer for None. ``b1`` is a ``[width]`` bias, None when the bias rides in
+    ``w1``, or a ``[m x width]`` per-channel term for ``x`` of shape ``[... x m x k]``, which
+    row ``i`` of each ``m`` rows adds.
 
-    Both paths walk the row blocks of :func:`_row_blocks`, so a block's hidden layer stays in
-    cache from the first GEMM through the second, and eval has the taped forward's bits.
-    Under an active tape, or with dropout on, each block of ``x``'s rows is a ``split`` part
-    run through ``matmul``, ``add`` and the hidden layer, then ``matmul``; the parts are
-    concatenated and ``b2`` is added. A layer of one block takes no ``split`` or ``concat``:
-    its rows go straight to the first ``matmul`` and its part to the ``b2`` add. With
-    dropout on the hidden layer is ``activation(h, "relu", (block, c))`` with ``block`` the
-    block's rows of ``keep``, the hidden layer's mask (for finite input, :func:`dropout` of
-    relu up to the sign of a zero): it overwrites the buffer the first GEMM or bias add
+    Both paths walk the row blocks of :func:`_row_blocks`, whole groups of ``m`` rows for a
+    per-channel term, so a block's hidden layer stays in cache from the first GEMM through
+    the second, and eval has the taped forward's bits. Under an active tape, or with
+    dropout on, each block of ``x``'s rows is a ``split`` part run through ``matmul``, ``add``
+    and the hidden layer, then ``matmul``; the parts are concatenated, ``b2`` is added and
+    ``act`` is one ``activation`` node. A layer of one block takes no ``split`` or
+    ``concat``: its rows go straight to the first ``matmul`` and its part to the ``b2`` add.
+    With dropout on the hidden layer is ``activation(h, "relu", (block, c))`` with ``block``
+    the block's rows of ``keep``, the hidden layer's mask (for finite input, :func:`dropout`
+    of relu up to the sign of a zero): it overwrites the buffer the first GEMM or bias add
     made, which only this function holds, and its pull writes the hidden gradient back into
     it once the second GEMM's pull has read it; else it is ``activation(h, "relu")``.
-    Otherwise each block is biased and clipped in place and multiplied into its rows of one
-    output by :func:`_walk`. A layer of two or more blocks walks the first half of its blocks
-    on the calling thread and the rest on this process's helper thread, each in its half of
-    one hidden buffer the caller allocates, with the caller's numpy error state; every
-    block is the same computation on either thread, so the bits do not change. ``b2`` is
-    added once both halves stop, and an exception of either half is raised here.
+    Otherwise :func:`_walk` takes each block through both layers in place into its rows of
+    one output, and then those rows through ``b2`` and ``act``. A layer of two or more
+    blocks walks the first half of its blocks on the calling thread and the rest on this
+    process's helper thread, each in its half of one hidden buffer the caller allocates,
+    with the caller's numpy error state; every row is the same computation on either
+    thread, so the bits do not change. An exception of either half is raised here once
+    both halves stop.
     """
     _check_rate(rate)
     _check_matmul(x.shape, w1.shape)
     _check_matmul(x.shape[:-1] + w1.shape[1:], w2.shape)
+    if act is not None and act not in ACTIVATION_KINDS:
+        raise ConfigError(f"unknown activation kind {act!r}; expected one of {ACTIVATION_KINDS}")
     (k, width), n = w1.shape, w2.shape[1]
+    group = b1.shape[:-1] if b1 is not None else ()  # (m,) for a per-channel term
+    if b1 is not None and b1.shape[-1] != width or group not in ((), x.shape[-2:-1]):
+        raise DimensionError(f"first bias {b1.shape} fits neither [{width}] nor the channels "
+                             f"of {x.shape} by {width}")
     rows = math.prod(x.shape[:-1])
-    bounds = _row_blocks(rows, width)
+    period = math.prod(group)
+    bounds = _row_blocks(rows, width, period)
     dropping = training and rate > 0.0
     if _active_tape is not None or dropping:
         if dropping:
             c = _keep_scale(keep, x.shape[:-1] + (width,), rate)
-            mask = keep.reshape(rows, width)
-        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        x2 = reshape(x, (rows, k))
+            mask = keep.reshape((-1,) + group + (width,))
+        sizes = [(hi - lo) // period for lo, hi in zip(bounds, bounds[1:])]
+        x2 = reshape(x, (-1,) + group + (k,))
         parts = []
         for lo, xb in zip(bounds, split(x2, sizes, 0) if len(sizes) > 1 else (x2,)):
             h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1)
+            lo //= period
             block = (mask[lo:lo + xb.shape[0]], c) if dropping else None
             parts.append(matmul(activation(h, "relu", block), w2))
         y = concat(parts, 0) if len(parts) > 1 else parts[0]
-        return reshape(add(y, b2), x.shape[:-1] + (n,))
+        y = reshape(add(y, b2), x.shape[:-1] + (n,))
+        return y if act is None else activation(y, act)
     out = np.empty((rows, n))
-    walk = (x.data.reshape(rows, k), w1.data, None if b1 is None else b1.data, w2.data, out)
+    walk = (x.data.reshape(rows, k), w1.data, None if b1 is None else b1.data, w2.data,
+            b2.data, act, out)
     if len(bounds) == 2:  # one block stays on the caller
         _walk(*walk, bounds, np.empty((rows, width)))
     else:  # the caller walks the first half of the blocks, the helper thread the rest
@@ -563,21 +578,27 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
         finally:
             half.exception()  # waits for the helper's half to stop, raised or not
         half.result()
-    out += b2.data
     return Tensor(out.reshape(x.shape[:-1] + (n,)))
 
 
-def _walk(x2, w1, b1, w2, out, bounds, h):
-    """Eval :func:`mlp` over the row blocks between consecutive ``bounds``, without ``b2``:
-    each block of ``x2``'s rows goes through the first GEMM into the leading rows of the
-    hidden buffer ``h``, is biased by ``b1`` (None when it rides in ``w1``) and clipped in
-    place, and is multiplied into its rows of ``out``."""
+def _walk(x2, w1, b1, w2, b2, act, out, bounds, h):
+    """Eval :func:`mlp` over the row blocks between consecutive ``bounds``: each block of
+    ``x2``'s rows goes through the first GEMM into the leading rows of the hidden buffer
+    ``h``, is biased by ``b1`` (None when it rides in ``w1``) and clipped in place, and is
+    multiplied into its rows of ``out``. Then those rows take ``b2`` and the activation
+    ``act`` in place, in one pass while they are still in cache: per block, the calls
+    would cost more than the pass for a thin output."""
     for lo, hi in zip(bounds, bounds[1:]):
         hb = np.matmul(x2[lo:hi], w1, out=h[:hi - lo])
         if b1 is not None:
-            hb += b1
-        np.maximum(hb, 0.0, out=hb)
+            hg = hb.reshape((-1,) + b1.shape)  # [windows x m x width] for a per-channel term
+            hg += b1
+        _activate("relu", hb, hb)
         np.matmul(hb, w2, out=out[lo:hi])
+    rows = out[bounds[0]:bounds[-1]]
+    rows += b2
+    if act is not None:
+        _activate(act, rows, rows)
 
 
 _helpers = {}  # process id -> the one-worker pool of that process's eval MLP helper

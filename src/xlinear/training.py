@@ -188,8 +188,9 @@ def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch, mask
     total = 0.0
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        sub = dio.WindowBatch(batch.endo_history[rows], batch.exo_history[rows],
-                              batch.endo_future[rows])
+        endo = batch.endo_history[rows]
+        exo = endo if batch.exo_history is batch.endo_history else batch.exo_history[rows]
+        sub = dio.WindowBatch(endo, exo, batch.endo_future[rows])
         tape = Tape()
         with record(tape):
             yhat, _ = mdl.forward(sub, params, training=True,

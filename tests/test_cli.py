@@ -303,8 +303,8 @@ class TestPredict:
     def test_reads_the_window_alone_past_rows_that_are_not_utf8(self, trained, plain_forecast,
                                                                tmp_path, monkeypatch):
         """On a 5 MB file whose rows before the last L are not UTF-8, ``predict`` reads under
-        1% of the bytes, counted as the operating system returns them, and forecasts as from
-        the unedited file."""
+        1% of the bytes, counted as the operating system returns them to a file object or to
+        ``os.read`` and ``os.pread``, and forecasts as from the unedited file."""
         head, _, body = trained["csv"].read_bytes().partition(b"\n")
         big = tmp_path / "big.csv"
         big.write_bytes(head + b"\n" + b"\xff\xfe,\xff\n" * ((5 << 20) // 5) + body)
@@ -328,7 +328,14 @@ class TestPredict:
                 return open(path, mode, *args, **kwargs)
             return io.BufferedReader(CountingFile(path, "rb"))
 
+        def counted(out):
+            got.append(len(out))
+            return out
+
+        read, pread = os.read, os.pread
         monkeypatch.setattr(dio, "open", counting_open, raising=False)
+        monkeypatch.setattr(os, "read", lambda fd, n: counted(read(fd, n)))
+        monkeypatch.setattr(os, "pread", lambda fd, n, at: counted(pread(fd, n, at)))
         assert cli.main(csv_argv("predict", trained, tmp_path, big)) == 0
         assert 0 < sum(got) < 0.01 * os.path.getsize(big) and os.path.getsize(big) > 5e6
         assert (tmp_path / "out" / "forecast.csv").read_bytes() == plain_forecast

@@ -368,6 +368,13 @@ class TestColumnSlices:
         assert np.shares_memory(b.endo_history, b.exo_history) == \
             (ds.target_mode == "multivariate")
 
+    def test_multivariate_histories_are_one_object(self, ds):
+        """Every batch and the forecast window pass one array as both histories in
+        multivariate mode, so the forward normalizes it once."""
+        one = ds.target_mode == "multivariate"
+        for b in [*dio.iter_batches(ds, "train", 6, 3, 7), dio.last_window(ds, 6)]:
+            assert (b.exo_history is b.endo_history) == one
+
     def test_last_window_equals_the_trailing_rows(self, ds):
         b = dio.last_window(ds, 6)
         trailing = ds.values[-6:].T[None]
@@ -553,6 +560,31 @@ class TestTailRead:
         assert got is not None and got[0] == names
         assert got[1].dtype == np.float64 and got[1].shape == (L, len(names))
         assert got[1].tobytes() == values[-L:].tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(case=tail_case(), whole=st.booleans())
+    def test_the_block_search_finds_the_last_non_blank_lines(self, tmp_path_factory, case,
+                                                             whole):
+        """``_tail`` alone, which a file of one block reaches only when its whole parse is
+        refused: handed the header alone, or the first block, it keeps the last L non-blank
+        lines, or gives None for fewer."""
+        raw, L, _ = case
+        start = raw.find(b"\n") + 1
+        if not start:
+            return
+        path = tmp_path_factory.getbasetemp() / "block.csv"
+        path.write_bytes(raw)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            got = dio._tail(fd, raw[:dio.TAIL_BLOCK] if whole else raw[:start], start,
+                            len(raw), L)
+        finally:
+            os.close(fd)
+        lines = [ln for ln in raw[start:].replace(b"\r\n", b"\n").split(b"\n") if ln]
+        if len(lines) < L:
+            assert got is None
+        else:
+            assert [ln for ln in got.replace(b"\r\n", b"\n").split(b"\n") if ln] == lines[-L:]
 
     @pytest.mark.parametrize("text", [
         "v0\n1.5\n2.5\r3.5\n",  # a bare CR in the tail

@@ -1,12 +1,14 @@
 """XLinear network tests: RevIN, embedding, gating modules, head,
 forward composition, ablations, and the gating-weight export."""
 
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xlinear import data as dio
 from xlinear import model as mdl
 from xlinear import tensor as tc
 from xlinear.errors import DimensionError, NumericFault, UsageError
@@ -51,18 +53,18 @@ def make_batch(cfg, n=5, seed=1):
 class TestRevin:
     def test_constant_window_maps_to_zeros(self):
         x = Tensor(np.full((1, 1, 4), 5.0))
-        z, stats = mdl.revin_normalize(x)
+        z, _, stats = mdl.revin_normalize(x)
         np.testing.assert_allclose(z.data, 0.0)
         assert stats.mean[0, 0, 0] == 5.0
 
     def test_two_point_symmetry(self):
-        z, stats = mdl.revin_normalize(Tensor(np.array([[[0.0, 2.0]]])))
+        z, _, stats = mdl.revin_normalize(Tensor(np.array([[[0.0, 2.0]]])))
         assert stats.mean[0, 0, 0] == 1.0
         np.testing.assert_allclose(z.data, [[[-1.0, 1.0]]], atol=1e-4)  # eps shrinks slightly
 
     def test_round_trip_without_affine(self):
         x = np.random.default_rng(5).normal(size=(3, 2, 16))
-        z, stats = mdl.revin_normalize(Tensor(x))
+        z, _, stats = mdl.revin_normalize(Tensor(x))
         back = mdl.revin_denormalize(z, stats)
         np.testing.assert_allclose(back.data, x, atol=1e-9)
 
@@ -71,13 +73,13 @@ class TestRevin:
         x = rng.normal(size=(2, 3, 12))
         gamma = Tensor(rng.uniform(0.5, 2.0, size=3), requires_grad=True)
         beta = Tensor(rng.normal(size=3), requires_grad=True)
-        z, stats = mdl.revin_normalize(Tensor(x), (gamma, beta))
+        z, _, stats = mdl.revin_normalize(Tensor(x), (gamma, beta))
         back = mdl.revin_denormalize(z, stats, (gamma, beta))
         np.testing.assert_allclose(back.data, x, atol=1e-9)
 
     def test_denormalize_zero_recovers_mean(self):
         x = np.random.default_rng(7).normal(size=(2, 2, 8))
-        _, stats = mdl.revin_normalize(Tensor(x))
+        _, _, stats = mdl.revin_normalize(Tensor(x))
         out = mdl.revin_denormalize(Tensor(np.zeros((2, 2, 3))), stats)
         np.testing.assert_allclose(out.data, np.broadcast_to(stats.mean, (2, 2, 3)))
 
@@ -86,7 +88,7 @@ class TestRevin:
             mdl.revin_normalize(Tensor(np.ones((1, 1, 1))))
 
     def test_stats_shape_mismatch(self):
-        _, stats = mdl.revin_normalize(Tensor(np.ones((2, 2, 4))))
+        _, _, stats = mdl.revin_normalize(Tensor(np.ones((2, 2, 4))))
         with pytest.raises(DimensionError):
             mdl.revin_denormalize(Tensor(np.ones((2, 3, 4))), stats)
 
@@ -200,54 +202,139 @@ class TestEmbed:
         assert report.passed, str(report)
 
 
+def concat_tgm(x, p):
+    """The TGM as the paper writes it, on the concatenation [embedding, token]: ``gate =
+    act(relu([x, tok] @ tgm_w1 + tgm_b1) @ tgm_w2 + tgm_b2)`` times [x, tok], split in two."""
+    b, m, d = x.shape
+    tok = tc.broadcast_to(tc.reshape(p.global_tokens, (1, m, d)), (b, m, d))
+    z = tc.concat([x, tok], axis=-1)
+    h = tc.activation(z @ p.tgm_w1 + p.tgm_b1, "relu")
+    gate = tc.activation(h @ p.tgm_w2 + p.tgm_b2, p.cfg.gate_activation)
+    x_endo, x_glob = tc.split(gate * z, (d, d), axis=-1)
+    return x_endo, x_glob, gate
+
+
 class TestAttachGlobalTokens:
-    def test_round_trip_recovers_tokens(self):
+    def test_returns_the_embedding_rows_and_the_token_term(self):
+        """The first layer's embedding rows, and the tokens through its token rows plus its
+        bias: per channel, the same for every window."""
         cfg = tiny_cfg()
         p = make_params(cfg, seed=5)
+        p.tgm_b1.data[...] = np.random.default_rng(2).normal(size=cfg.t_ff)
         x = Tensor(np.random.default_rng(1).normal(size=(4, 2, 6)))
-        tok = mdl.attach_global_tokens(x, p.global_tokens)
-        assert tok.shape == (4, 2, 12)
-        _, second = tc.split(tok, (6, 6), axis=-1)
-        expected = np.broadcast_to(p.global_tokens.data, (4, 2, 6))
-        assert np.array_equal(second.data, expected)
+        w_endo, term = mdl.attach_global_tokens(x, p)
+        np.testing.assert_array_equal(w_endo.data, p.tgm_w1.data[:6])
+        assert term.shape == (2, cfg.t_ff)
+        np.testing.assert_array_equal(
+            term.data, p.global_tokens.data @ p.tgm_w1.data[6:] + p.tgm_b1.data)
 
-    def test_zero_tokens_zero_second_half(self):
-        x = Tensor(np.ones((2, 3, 5)))
-        out = mdl.attach_global_tokens(x, Tensor(np.zeros((3, 5))))
-        np.testing.assert_allclose(out.data[..., 5:], 0.0)
+    def test_first_layer_equals_the_concatenated_input_layer(self):
+        """``x @ tgm_w1[:d] + term`` is ``[x, tok] @ tgm_w1 + tgm_b1`` with the sum
+        reassociated."""
+        cfg = tiny_cfg()
+        p = make_params(cfg, seed=6)
+        p.tgm_b1.data[...] = np.random.default_rng(3).normal(size=cfg.t_ff)
+        x = np.random.default_rng(4).normal(size=(4, 2, 6))
+        w_endo, term = mdl.attach_global_tokens(Tensor(x), p)
+        tok = np.broadcast_to(p.global_tokens.data, (4, 2, 6))
+        want = np.concatenate([x, tok], axis=-1) @ p.tgm_w1.data + p.tgm_b1.data
+        np.testing.assert_allclose(x @ w_endo.data + term.data, want, rtol=1e-13, atol=1e-14)
+
+    def test_zero_tokens_leave_the_bias(self):
+        cfg = tiny_cfg(n_endo=3)
+        p = make_params(cfg, seed=7)
+        p.global_tokens.data[...] = 0.0
+        p.tgm_b1.data[...] = np.arange(cfg.t_ff)
+        _, term = mdl.attach_global_tokens(Tensor(np.ones((2, 3, 6))), p)
+        np.testing.assert_array_equal(term.data, np.broadcast_to(np.arange(cfg.t_ff), (3, 8)))
 
     def test_shape_guard(self):
+        p = make_params(tiny_cfg())  # global tokens [2 x 6]
         with pytest.raises(DimensionError):
-            mdl.attach_global_tokens(Tensor(np.ones((2, 3, 5))), Tensor(np.zeros((4, 5))))
+            mdl.attach_global_tokens(Tensor(np.ones((2, 3, 6))), p)
+
+
+def run_tgm(x, p, training=False, masks=None):
+    return mdl.tgm(x, mdl.attach_global_tokens(x, p), p, training, masks)
 
 
 class TestTgm:
     def test_zero_weights_gate_half(self):
         cfg = tiny_cfg()
         p = zero_gates(make_params(cfg))
-        x = np.random.default_rng(3).normal(size=(3, 2, 12))
-        x_endo, x_glob, gate = mdl.tgm(Tensor(x), p)
+        x = np.random.default_rng(3).normal(size=(3, 2, 6))
+        x_endo, x_glob, gate = run_tgm(Tensor(x), p)
         np.testing.assert_allclose(gate.data, 0.5)
-        np.testing.assert_allclose(np.concatenate([x_endo.data, x_glob.data], axis=-1),
-                                   0.5 * x)
+        np.testing.assert_allclose(x_endo.data, 0.5 * x)
+        np.testing.assert_allclose(x_glob.data,
+                                   np.broadcast_to(0.5 * p.global_tokens.data, (3, 2, 6)))
 
     def test_sigmoid_gate_strictly_inside_unit_interval(self):
         cfg = tiny_cfg()
         p = make_params(cfg, seed=8)
-        x = np.random.default_rng(4).normal(size=(5, 2, 12))
-        _, _, gate = mdl.tgm(Tensor(x), p)
+        x = np.random.default_rng(4).normal(size=(5, 2, 6))
+        _, _, gate = run_tgm(Tensor(x), p)
         assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
 
     def test_channel_permutation_equivariance(self):
-        """One shared MLP means permuting the M channels permutes outputs."""
+        """One shared MLP means permuting the M channels, tokens included, permutes
+        outputs."""
         cfg = tiny_cfg(n_endo=4)
         p = make_params(cfg, seed=9)
-        x = np.random.default_rng(5).normal(size=(3, 4, 12))
+        x = np.random.default_rng(5).normal(size=(3, 4, 6))
         perm = np.array([2, 0, 3, 1])
-        a_endo, a_glob, _ = mdl.tgm(Tensor(x), p)
-        b_endo, b_glob, _ = mdl.tgm(Tensor(x[:, perm, :]), p)
+        a_endo, a_glob, _ = run_tgm(Tensor(x), p)
+        p.global_tokens.data[...] = p.global_tokens.data[perm]
+        b_endo, b_glob, _ = run_tgm(Tensor(x[:, perm, :]), p)
         np.testing.assert_allclose(b_endo.data, a_endo.data[:, perm, :])
         np.testing.assert_allclose(b_glob.data, a_glob.data[:, perm, :])
+
+    @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
+    @pytest.mark.parametrize("n_endo", [1, 3])
+    def test_equals_the_concatenated_tgm(self, gate, n_endo):
+        """Outputs, gate and the gradients of the embedding, ``tgm_w1``, ``tgm_b1`` and the
+        global tokens match the TGM on [embedding, token] up to the reassociated first-layer
+        sum."""
+        cfg = tiny_cfg(gate_activation=gate, n_endo=n_endo)
+        p = make_params(cfg, seed=10)
+        data = np.random.default_rng(11)
+        p.tgm_b1.data[...] = data.normal(size=cfg.t_ff)
+        p.tgm_b2.data[...] = data.normal(size=2 * cfg.d_model)
+        x = Tensor(data.normal(size=(5, n_endo, 6)), requires_grad=True)
+        weights = [Tensor(data.normal(size=s)) for s in ((5, n_endo, 6), (5, n_endo, 6),
+                                                         (5, n_endo, 12))]
+        leaves = [x, p.tgm_w1, p.tgm_b1, p.tgm_w2, p.tgm_b2, p.global_tokens]
+
+        def run(fn):
+            for t in leaves:
+                t.zero_grad()
+            tape = tc.Tape()
+            with tc.record(tape):
+                outs = fn(x, p)
+                sums = [tc.tsum(o * w) for o, w in zip(outs, weights)]
+                loss = sums[0] + sums[1] + sums[2]
+            tc.backward(loss, tape)
+            return [o.data for o in outs] + [t.grad.copy() for t in leaves]
+
+        for got, want in zip(run(run_tgm), run(concat_tgm)):
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-12)
+
+    def test_split_tgm_grads_match_fd(self):
+        """A forward through the split TGM: finite differences of ``tgm_w1`` (its token
+        rows too), ``tgm_b1`` and the global tokens."""
+        cfg = tiny_cfg()
+        p = make_params(cfg, seed=20)
+        b = make_batch(cfg, n=3, seed=21)
+        y = Tensor(b.endo_future)
+
+        def f():
+            yhat, _ = mdl.forward(b, p, training=False)
+            return mse_loss(yhat, y)
+
+        report = tc.grad_check(f, [p.tgm_w1, p.tgm_b1, p.global_tokens], step=1e-4,
+                               rel_tol=1e-4)
+        assert report.passed, str(report)
+        assert report.n_entries == 12 * 8 + 8 + 2 * 6
 
 
 class TestVgm:
@@ -595,6 +682,37 @@ class TestForward:
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
         np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
 
+    @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
+    def test_reproduction_size_gates_on_both_threads_equal_the_taped_forward(self, gate):
+        """A 64-window eval batch at the reproduction size has a 2-block TGM layer (448 rows
+        of width 256, in blocks of 224, whole windows) and a 16-block VGM layer (8192 rows of
+        width 128), so each gate is computed in row blocks, half of them on the helper
+        thread, and still has the taped forward's bits."""
+        cfg = mdl.ModelConfig(horizon=96, n_endo=7, n_exo=7, d_model=128, t_ff=256, c_ff=128,
+                              gate_activation=gate)
+        assert tc._row_blocks(64 * 7, 256, 7) == [0, 224, 448]
+        assert len(tc._row_blocks(64 * 128, 128)) == 17
+        p = make_params(cfg, seed=28)
+        b = make_batch(cfg, n=64, seed=29)
+        b.exo_history = b.endo_history
+        threads, real = [], tc._walk
+
+        def walk(*args):
+            threads.append(threading.get_ident())
+            real(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tc, "_walk", walk)
+            y_eval, trace_eval = mdl.forward(b, p, training=False)
+        assert len(threads) == 4 and len(set(threads)) == 2
+        tape = tc.Tape()
+        with tc.record(tape):
+            y_taped, trace_taped = mdl.forward(b, p, training=False)
+        assert tape.nodes and not y_eval.requires_grad
+        np.testing.assert_array_equal(y_eval.data, y_taped.data)
+        np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
+        np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
+
     @pytest.mark.parametrize("n_endo,n_exo", [(7, 7), (1, 6)])
     def test_paper_size_eval_blocks_equal_the_taped_forward(self, n_endo, n_exo):
         """At the paper size the VGM's second GEMM has K = 512, where OpenBLAS rounds a row
@@ -612,6 +730,60 @@ class TestForward:
         np.testing.assert_array_equal(y_eval.data, y_taped.data)
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
         np.testing.assert_array_equal(trace_eval.variate_gate, trace_taped.variate_gate)
+
+
+class TestOneHistory:
+    """A multivariate batch passes one array as both histories, normalized once."""
+
+    @pytest.fixture
+    def case(self):
+        cfg = tiny_cfg(n_endo=3, n_exo=3, embed_dropout=0.2, t_dropout=0.2, c_dropout=0.2,
+                       head_dropout=0.2)
+        p = make_params(cfg, seed=40)
+        data = np.random.default_rng(41)
+        p.revin_gamma.data[...] = data.uniform(0.5, 2.0, size=3)
+        p.revin_beta.data[...] = data.normal(size=3)
+        vals = data.normal(size=(80, 3))
+        ds = dio.split_and_scale(dio.TimeSeriesDataset(("a", "b", "c"), vals, "multivariate"),
+                                 (0.6, 0.2, 0.2), cfg.lookback, cfg.horizon)
+        (batch, *_) = dio.iter_batches(ds, "train", cfg.lookback, cfg.horizon, 6)
+        assert batch.exo_history is batch.endo_history
+        twin = dio.WindowBatch(batch.endo_history, batch.exo_history.copy(), batch.endo_future)
+        return cfg, p, batch, twin
+
+    def test_eval_forward_has_the_bits_of_an_equal_copy(self, case):
+        cfg, p, batch, twin = case
+        (y, trace), (y_twin, trace_twin) = (mdl.forward(b, p) for b in (batch, twin))
+        np.testing.assert_array_equal(y.data, y_twin.data)
+        np.testing.assert_array_equal(trace.time_gate, trace_twin.time_gate)
+        np.testing.assert_array_equal(trace.variate_gate, trace_twin.variate_gate)
+
+    def test_training_step_has_the_bits_of_an_equal_copy(self, case):
+        """Prediction and every parameter gradient of a taped training forward."""
+        cfg, p, batch, twin = case
+        masks = lane_table(np.random.default_rng(42), cfg, len(batch))
+        runs = []
+        for b in (batch, twin):
+            for t in p.all():
+                t.zero_grad()
+            tape = tc.Tape()
+            with tc.record(tape):
+                y, _ = mdl.forward(b, p, training=True, masks=masks)
+                loss = mse_loss(y, Tensor(b.endo_future))
+            tc.backward(loss, tape)
+            runs.append([y.data] + [t.grad for t in p.all()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_history_is_normalized_once(self, case, monkeypatch):
+        cfg, p, batch, twin = case
+        calls = []
+        real = mdl.revin_normalize
+        monkeypatch.setattr(mdl, "revin_normalize", lambda *a: calls.append(a) or real(*a))
+        mdl.forward(batch, p, training=False)
+        assert len(calls) == 1
+        mdl.forward(twin, p, training=False)
+        assert len(calls) == 3
 
 
 class TestExport:

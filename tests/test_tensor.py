@@ -700,6 +700,53 @@ class TestMlp:
         np.testing.assert_array_equal(got.data, want)
         assert not got.requires_grad
 
+    @pytest.mark.parametrize("windows", [1, 3, 8, 9, 17])
+    @pytest.mark.parametrize("act", [None, "sigmoid", "softmax"])
+    def test_a_per_channel_term_walks_whole_windows(self, monkeypatch, windows, act):
+        """A ``[m x width]`` first bias adds its row ``i`` to row ``i`` of each ``m`` rows;
+        the blocks hold whole windows (24 rows, 8 windows of 3), and eval has the bits of
+        the taped walk, whose gradients are those of the broadcast composition."""
+        monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
+        w1, _, w2, b2 = self.layers()
+        rng = np.random.default_rng(15)
+        term = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+        x = Tensor(rng.normal(size=(windows, 3, 5)), requires_grad=True)
+        bounds = tc._row_blocks(3 * windows, 8, 3)
+        assert all(b % 24 == 0 for b in bounds[:-1]) and bounds[-1] == 3 * windows
+        g = rng.normal(size=(windows, 3, 3))
+
+        def run(f):
+            for t in (x, w1, term, w2, b2):
+                t.zero_grad()
+            tape = Tape()
+            with record(tape):
+                y = f()
+                loss = tc.tsum(y * Tensor(g))
+            backward(loss, tape)
+            return [y.data] + [t.grad for t in (x, w1, term, w2, b2)]
+
+        def composed():
+            y = tc.activation(x @ w1 + term, "relu") @ w2 + b2
+            return y if act is None else tc.activation(y, act)
+
+        got = run(lambda: tc.mlp(x, w1, term, w2, b2, 0.0, False, None, act))
+        evaluated = tc.mlp(x, w1, term, w2, b2, 0.0, False, None, act)
+        np.testing.assert_array_equal(evaluated.data, got[0])
+        for a, b in zip(got, run(composed)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 7), (2, 3, 8)])
+    def test_a_first_bias_of_neither_shape_is_one_dimension_error(self, shape):
+        w1, _, w2, b2 = self.layers()
+        with pytest.raises(DimensionError, match="first bias"):
+            tc.mlp(Tensor(np.ones((2, 3, 5))), w1, Tensor(np.ones(shape)), w2, b2, 0.0, False,
+                   None)
+
+    def test_an_unknown_gate_kind_is_one_config_error(self):
+        w1, b1, w2, b2 = self.layers()
+        with pytest.raises(ConfigError, match="gelu"):
+            tc.mlp(Tensor(np.ones((2, 5))), w1, b1, w2, b2, 0.0, False, None, "gelu")
+
     def test_keeps_the_leading_axes(self, monkeypatch):
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers()

@@ -641,14 +641,14 @@ class TestSubBatches:
         params, log = tr.train(cfg, tcfg, ds, echo=False)
         real_mlp, taped = tc.mlp, []
 
-        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, keep):
+        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, keep, act):
             if not training:
-                return real_mlp(x, w1, b1, w2, b2, rate, training, keep)
+                return real_mlp(x, w1, b1, w2, b2, rate, training, keep, act)
             taped.append(x.shape[0])
             h = x @ w1 if b1 is None else x @ w1 + b1
             c = tc._keep_scale(keep, h.shape, rate)
             h = h * Tensor((keep & (h.data > 0.0)) * c)
-            return h @ w2 + b2
+            return tc.activation(h @ w2 + b2, act)
 
         monkeypatch.setattr(tc, "mlp", float_scale_mlp)
         ref_params, ref_log = tr.train(cfg, tcfg, ds, echo=False)
