@@ -138,7 +138,7 @@ def _forward_input(args):
     d = run_cfg.data
     ds = dio.load_csv_with_scaler(args.input, ckpt.scaler, d.target_mode, d.split_ratios,
                                   date_column=d.date_column, tail_rows=cfg.lookback)
-    yhat, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params, training=False)
+    yhat, trace = mdl.forward(dio.last_window(ds, cfg.lookback), params)
     return run_cfg, horizon, ds, yhat.data, trace
 
 

@@ -43,7 +43,6 @@ class TimeSeriesDataset:
     scaler_mean: np.ndarray | None = None
     scaler_std: np.ndarray | None = None
     split_bounds: tuple | None = None  # ((a,b) train, (a,b) val, (a,b) test)
-    first_row: int | None = 0  # data row of the CSV in values[0]; None: rows before uncounted
 
     @property
     def n_rows(self) -> int:
@@ -91,9 +90,6 @@ class WindowBatch:
     endo_history: np.ndarray  # [batch x M x L]
     exo_history: np.ndarray  # [batch x C x L]; in multivariate mode the same array object
     endo_future: np.ndarray | None = None  # [batch x M x S]; None when forecasting
-    # window start rows, maps windows back to the CSV; None for a forecast window read from
-    # the tail of a file, whose rows before it were never counted
-    origins: np.ndarray | None = None
 
     def __len__(self):
         return self.endo_history.shape[0]
@@ -400,8 +396,8 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
     scored in the space the model was trained in. Split bounds follow
     ``ratios`` as in :func:`split_and_scale`. With ``tail_rows`` (and no
     ``limit_rows``) the dataset holds only the last ``tail_rows`` rows when
-    :func:`read_csv_tail` can read them, with ``first_row`` None, and else
-    every row, by :func:`read_csv_values`.
+    :func:`read_csv_tail` can read them, and else every row, by
+    :func:`read_csv_values`.
     """
     parsed = tail_rows and read_csv_tail(path, tail_rows, date_column)
     names, values = parsed or read_csv_values(path, limit_rows, date_column)
@@ -424,8 +420,7 @@ def load_csv_with_scaler(path, scaler: dict, target_mode: str, ratios,
                       f"{float(mean[j])!r}, std {float(std[j])!r}; need finite values, std > 0")
     return TimeSeriesDataset(
         variable_names=names, values=_scaled(values, mean, std, names), target_mode=target_mode,
-        scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios),
-        first_row=None if parsed else 0)
+        scaler_mean=mean, scaler_std=std, split_bounds=split_bounds(values.shape[0], ratios))
 
 
 def scaler_dict(ds: TimeSeriesDataset) -> dict:
@@ -454,21 +449,19 @@ def window_origins(ds: TimeSeriesDataset, split: str, L: int, S: int) -> np.ndar
 
 
 def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: int,
-                 shuffle: bool = False, rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None):
     """Yield every valid window of a split exactly once, in batches.
 
-    The final partial batch is yielded as-is. With ``shuffle`` the origin
-    order is a permutation drawn from ``rng``; without it origins are
-    strictly increasing.
+    The final partial batch is yielded as-is. Given ``rng``, the windows
+    come in the order of a permutation of :func:`window_origins` drawn from
+    it; without it in that increasing order.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle and rng is None:
-        raise UsageError("shuffle=True requires an rng")
     origins = window_origins(ds, split, L, S)
     if origins.size == 0:
         raise DataError(f"split {split!r} admits no windows for L={L}, S={S}")
-    if shuffle:
+    if rng is not None:
         origins = rng.permutation(origins)
     by_var = np.ascontiguousarray(ds.values.T)  # so one gather is [batch x vars x L] in C order
     hist = np.lib.stride_tricks.sliding_window_view(by_var, L, axis=1).transpose(1, 0, 2)
@@ -477,22 +470,18 @@ def iter_batches(ds: TimeSeriesDataset, split: str, L: int, S: int, batch_size: 
         idx = origins[i:i + batch_size]
         win, ahead = hist[idx], fut[idx + L]
         batch = WindowBatch(*_histories(ds, win),  # all columns are the gather itself, no copy
-                            endo_future=np.ascontiguousarray(ahead[:, ds.endo]), origins=idx)
+                            endo_future=np.ascontiguousarray(ahead[:, ds.endo]))
         del win, ahead  # the suspended generator would keep both whole gathers alive
         yield batch
 
 
 def last_window(ds: TimeSeriesDataset, L: int) -> WindowBatch:
-    """The trailing ``L`` rows as one window to forecast from; its origin is None when
-    ``ds.first_row`` is."""
+    """The trailing ``L`` rows as one window to forecast from."""
     if ds.n_rows < L:
         raise DataError(f"input has {ds.n_rows} rows; prediction needs the "
                         f"trailing L = {L} rows of every variable")
     win = np.ascontiguousarray(ds.values[-L:].T)[None]  # [1 x V x L]
-    return WindowBatch(
-        *_histories(ds, win),
-        origins=None if ds.first_row is None else np.array([ds.first_row + ds.n_rows - L]),
-    )
+    return WindowBatch(*_histories(ds, win))
 
 
 def _histories(ds: TimeSeriesDataset, win: np.ndarray) -> tuple:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as tc
 from .data import WindowBatch, output_file
-from .errors import ConfigError, DimensionError, NumericFault
+from .errors import ConfigError, DimensionError, NumericFault, UsageError
 from .tensor import Tensor
 
 GATE_ACTIVATIONS = ("sigmoid", "swish", "tanh", "softmax")
@@ -137,17 +137,11 @@ class XLinearParams:
         """Copies of the raw parameter arrays, keyed by name."""
         return {name: t.data.copy() for name, t in self.named()}
 
-    def load_state_arrays(self, arrays: dict):
-        """Copy back arrays taken by :meth:`state_arrays`; a checkpoint restore goes
-        through :meth:`from_arrays` after ``params_from_checkpoint`` checked the shapes."""
-        for name, t in self.named():
-            t.data[...] = arrays[name]
-
 
 def dropout_sites(cfg: ModelConfig, n: int) -> dict:
     """(keep mask shape, rate) of the dropout sites of a training forward over ``n`` windows,
     by name in draw order; a rate-0 site draws nothing and is left out. A training forward
-    reads its masks from a table with these names and shapes."""
+    reads its masks from a table of exactly these names, each mask of its site's shape."""
     M, C, d = cfg.n_endo, cfg.n_exo, cfg.d_model
     sites = {"embed_endo": ((n, M, d), cfg.embed_dropout),
              "embed_exo": ((n, C, d), cfg.embed_dropout),
@@ -207,9 +201,9 @@ def revin_denormalize(yhat: Tensor, stats: RevinStats, affine=None) -> Tensor:
     return yhat * Tensor(stats.std) + Tensor(stats.mean)
 
 
-def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool = False,
-          masks: dict | None = None):
-    """Project each variable's L-length history to d_model features."""
+def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, masks: dict):
+    """Project each variable's L-length history to d_model features. Like every stage, it
+    drops out at a site iff the mask table ``masks`` (``{}`` in eval) holds it."""
     cfg = params.cfg
     if x_endo.shape[-1] != cfg.lookback or e_exo.shape[-1] != cfg.lookback:
         raise DimensionError(
@@ -217,8 +211,8 @@ def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, training: bool =
             f"exo {e_exo.shape}")
     x = x_endo @ params.embed_endo_w + params.embed_endo_b
     e = e_exo @ params.embed_exo_w + params.embed_exo_b
-    x = tc.dropout(x, cfg.embed_dropout, training, (masks or {}).get("embed_endo"))
-    e = tc.dropout(e, cfg.embed_dropout, training, (masks or {}).get("embed_exo"))
+    x = tc.dropout(x, cfg.embed_dropout, "embed_endo" in masks, masks.get("embed_endo"))
+    e = tc.dropout(e, cfg.embed_dropout, "embed_exo" in masks, masks.get("embed_exo"))
     return x, e
 
 
@@ -236,22 +230,20 @@ def attach_global_tokens(x_endo: Tensor, params: XLinearParams):
     return w_endo, params.global_tokens @ w_tok + params.tgm_b1
 
 
-def tgm(x_endo: Tensor, tokens, params: XLinearParams, training: bool = False,
-        masks: dict | None = None):
+def tgm(x_endo: Tensor, tokens, params: XLinearParams, masks: dict):
     """Time-wise gating: one MLP over the 2*d_model axis of [embedding, token], shared by
     all variables, whose activated output reweights that sequence. ``tokens`` is
     :func:`attach_global_tokens`' pair: the first layer's embedding rows and the token term,
     which stands for the token half of every row."""
     cfg = params.cfg
     w_endo, term = tokens
-    gate = tc.mlp(x_endo, w_endo, term, params.tgm_w2, params.tgm_b2, cfg.t_dropout, training,
-                  (masks or {}).get("tgm"), cfg.gate_activation)
+    gate = tc.mlp(x_endo, w_endo, term, params.tgm_w2, params.tgm_b2, cfg.t_dropout,
+                  masks.get("tgm"), cfg.gate_activation)
     g_endo, g_glob = tc.split(gate, (cfg.d_model, cfg.d_model), axis=-1)
     return g_endo * x_endo, g_glob * params.global_tokens, gate
 
 
-def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-        masks: dict | None = None):
+def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, masks: dict):
     """Variate-wise gating: an MLP over the stacked (C+M)-channel axis gates the M global
     tokens, the only rows the forecast reads.
 
@@ -267,23 +259,22 @@ def vgm(e_exo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = F
     ones = Tensor(np.ones((x_glob.shape[0], 1, cfg.d_model)))
     t = tc.transpose(tc.concat([e_exo, x_glob, ones], axis=1))  # [b x d x (C+M+1)]
     w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
-    gate = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
-                  (masks or {}).get("vgm"), cfg.gate_activation)
+    gate = tc.mlp(t, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout,
+                  masks.get("vgm"), cfg.gate_activation)
     if cfg.gate_activation == "softmax":
         gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
     gate = tc.transpose(gate)  # [b x M x d]
     return gate * x_glob, gate
 
 
-def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, training: bool = False,
-         masks: dict | None = None) -> Tensor:
+def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, masks: dict) -> Tensor:
     """Channel-independent linear map from fused features to S steps.
 
     Output stays in the normalized space; the caller denormalizes.
     """
     cfg = params.cfg
     z = tc.concat([x_endo, x_glob], axis=-1)
-    z = tc.dropout(z, cfg.head_dropout, training, (masks or {}).get("head"))
+    z = tc.dropout(z, cfg.head_dropout, "head" in masks, masks.get("head"))
     return z @ params.head_w + params.head_b
 
 
@@ -292,15 +283,15 @@ def _check_finite(data: np.ndarray, stage: str):
         raise NumericFault(f"non-finite values detected at stage {stage!r}")
 
 
-def forward(batch, params: XLinearParams, training: bool = False,
-            masks: dict | None = None):
+def forward(batch, params: XLinearParams, masks: dict | None = None):
     """Full forward pass over one WindowBatch.
 
     Returns the denormalized prediction tensor [batch x M x S] and a ForwardTrace. Ablations
     blank one half of the head input: endo_only keeps the temporally gated endogenous
-    features, global_only keeps the exogenous-informed global tokens. In training ``masks``
-    holds the keep mask of each site of :func:`dropout_sites`, by name. A batch whose
-    exogenous history is its endogenous array (multivariate mode) is normalized once.
+    features, global_only keeps the exogenous-informed global tokens. ``masks`` None is eval;
+    a training forward gets a table of the keep mask of each site of :func:`dropout_sites`,
+    by name. A batch whose exogenous history is its endogenous array (multivariate mode) is
+    normalized once.
     """
     cfg = params.cfg
     one = batch.exo_history is batch.endo_history
@@ -310,6 +301,13 @@ def forward(batch, params: XLinearParams, training: bool = False,
         raise DimensionError(
             f"batch has {x_raw.shape[1]} endo / {e_raw.shape[1]} exo channels, "
             f"config expects {cfg.n_endo} / {cfg.n_exo}")
+    if masks is None:
+        masks = {}
+    else:
+        sites = dropout_sites(cfg, x_raw.shape[0])
+        if masks.keys() != sites.keys():
+            raise UsageError(f"a training forward needs a keep mask for each dropout site "
+                             f"{list(sites)} and no other, got {list(masks)}")
     _check_finite(x_raw.data, "input")
     if not one:
         _check_finite(e_raw.data, "input")
@@ -321,22 +319,21 @@ def forward(batch, params: XLinearParams, training: bool = False,
     en = plain if one else revin_normalize(e_raw)[0]
     _check_finite(xn.data, "revin")
 
-    x_emb, e_emb = embed(xn, en, params, training, masks)
+    x_emb, e_emb = embed(xn, en, params, masks)
     _check_finite(x_emb.data, "embed")
     tokens = attach_global_tokens(x_emb, params)
 
-    x_endo, x_glob, time_gate = tgm(x_emb, tokens, params, training, masks)
+    x_endo, x_glob, time_gate = tgm(x_emb, tokens, params, masks)
     _check_finite(time_gate.data, "tgm")
 
-    x_glob2, variate_gate = vgm(e_emb, x_glob, params, training, masks)
+    x_glob2, variate_gate = vgm(e_emb, x_glob, params, masks)
     _check_finite(variate_gate.data, "vgm")
 
     if cfg.ablation == "endo_only":
-        yhat_n = head(x_endo, Tensor(np.zeros_like(x_endo.data)), params, training, masks)
+        x_glob2 = Tensor(np.zeros_like(x_glob2.data))
     elif cfg.ablation == "global_only":
-        yhat_n = head(Tensor(np.zeros_like(x_glob2.data)), x_glob2, params, training, masks)
-    else:
-        yhat_n = head(x_endo, x_glob2, params, training, masks)
+        x_endo = Tensor(np.zeros_like(x_endo.data))
+    yhat_n = head(x_endo, x_glob2, params, masks)
     _check_finite(yhat_n.data, "head")
 
     yhat = revin_denormalize(yhat_n, stats, affine)
@@ -349,7 +346,7 @@ def predictor(params: XLinearParams, cfg: ModelConfig):
     """Eval-mode closure mapping (endo_hist, exo_hist) arrays to forecasts."""
 
     def predict(endo_history: np.ndarray, exo_history: np.ndarray) -> np.ndarray:
-        yhat, _ = forward(WindowBatch(endo_history, exo_history), params, training=False)
+        yhat, _ = forward(WindowBatch(endo_history, exo_history), params)
         return yhat.data
 
     return predict

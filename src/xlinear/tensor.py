@@ -403,16 +403,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _push(out, pull)
 
 
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = _out(np.ascontiguousarray(np.broadcast_to(x.data, shape)), x)
-
-    def pull(g):
-        _accum(x, _unbroadcast(g, x.data.shape))
-
-    return _push(out, pull)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -508,12 +498,13 @@ def _row_blocks(rows: int, width: int, period: int = 1) -> list[int]:
     return list(range(0, max(rows - 1, 1), step)) + [rows]
 
 
-def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training: bool,
+def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float,
         keep: np.ndarray | None, act: str | None = None) -> Tensor:
     """``act(dropout(relu(x @ w1 + b1)) @ w2 + b2)``, a gate for an activation kind ``act``
     and the plain layer for None. ``b1`` is a ``[width]`` bias, None when the bias rides in
     ``w1``, or a ``[m x width]`` per-channel term for ``x`` of shape ``[... x m x k]``, which
-    row ``i`` of each ``m`` rows adds.
+    row ``i`` of each ``m`` rows adds. Dropout is on iff ``keep``, the hidden layer's bool
+    keep mask, is given and ``rate > 0``.
 
     Both paths walk the row blocks of :func:`_row_blocks`, whole groups of ``m`` rows for a
     per-channel term, so a block's hidden layer stays in cache from the first GEMM through
@@ -548,7 +539,7 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float, training
     rows = math.prod(x.shape[:-1])
     period = math.prod(group)
     bounds = _row_blocks(rows, width, period)
-    dropping = training and rate > 0.0
+    dropping = keep is not None and rate > 0.0
     if _active_tape is not None or dropping:
         if dropping:
             c = _keep_scale(keep, x.shape[:-1] + (width,), rate)

@@ -193,8 +193,7 @@ def accumulate_gradients(params: mdl.XLinearParams, batch: dio.WindowBatch, mask
         sub = dio.WindowBatch(endo, exo, batch.endo_future[rows])
         tape = Tape()
         with record(tape):
-            yhat, _ = mdl.forward(sub, params, training=True,
-                                  masks={site: keep[rows] for site, keep in masks.items()})
+            yhat, _ = mdl.forward(sub, params, {site: keep[rows] for site, keep in masks.items()})
             loss = mse_loss(yhat, Tensor(sub.endo_future), batch.endo_future.size)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -229,8 +228,7 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
         lr = lr_schedule(train_cfg.lr_init, e)
         total = 0.0
         count = 0
-        batches = dio.iter_batches(ds, "train", L, S, train_cfg.batch_size,
-                                   shuffle=True, rng=shuffle_rng)
+        batches = dio.iter_batches(ds, "train", L, S, train_cfg.batch_size, rng=shuffle_rng)
         for bi, batch in enumerate(batches):
             masks = {site: draw_keep(buffers[site][:len(batch)], rate, dropout_rng)
                      for site, (_, rate) in sites.items()}
@@ -259,5 +257,4 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
 
     log.best_epoch = stopper.best_epoch
     log.best_val_loss = stopper.best
-    params.load_state_arrays(best_arrays)
-    return params, log
+    return mdl.XLinearParams.from_arrays(model_cfg, best_arrays), log

@@ -102,7 +102,7 @@ def test_criterion_1_gradient_correctness(capsys):
     y = Tensor(B.endo_future)
 
     def f():
-        yhat, _ = mdl.forward(B, params, training=False)
+        yhat, _ = mdl.forward(B, params)
         return tr.mse_loss(yhat, y)
 
     report = tc.grad_check(f, params.all(), step=1e-4, rel_tol=1e-4)

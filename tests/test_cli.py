@@ -469,9 +469,10 @@ class TestMultivariate:
     def test_predict_matches_last_window_forward(self, run, tmp_path, capsys):
         ds = run["ds"]
         win = np.ascontiguousarray(ds.values[-24:].T[None])  # [1 x V x L]
+        np.testing.assert_array_equal(dio.last_window(ds, 24).endo_history, win)
         batch = dio.WindowBatch(endo_history=win, exo_history=win,
-                                endo_future=np.zeros((1, 3, 4)), origins=np.array([0]))
-        yhat, _ = mdl.forward(batch, run["params"], training=False)
+                                endo_future=np.zeros((1, 3, 4)))
+        yhat, _ = mdl.forward(batch, run["params"])
         expected = dio.inverse_scale_forecast(ds, yhat.data)[0].T  # [S x M]
         for source in ("csv", "tail"):
             assert cli.main(["predict", "--checkpoint", str(run["checkpoint"]),

@@ -267,28 +267,30 @@ class TestIterBatches:
         assert b.exo_history.shape == (5, 2, 4)
         assert b.endo_future.shape == (5, 2, 2)
 
+    @staticmethod
+    def starts(batches):
+        """Each window's start row: column ``p`` of :meth:`make` holds its row number."""
+        return np.concatenate([b.endo_history[:, 0, 0] for b in batches])
+
     def test_unshuffled_origins_increase(self):
         ds = self.make(12)
-        (b,) = dio.iter_batches(ds, "train", 4, 2, batch_size=64)
-        assert np.all(np.diff(b.origins) > 0)
+        starts = self.starts(dio.iter_batches(ds, "train", 4, 2, batch_size=64))
+        np.testing.assert_array_equal(starts, dio.window_origins(ds, "train", 4, 2))
+        assert np.all(np.diff(starts) > 0)
 
     def test_shuffle_deterministic_per_seed(self):
+        """Given a Generator, the windows come in the order of its permutation of the
+        origins."""
         ds = self.make(20)
 
-        def origins(seed):
-            rng = np.random.default_rng(seed)
-            out = []
-            for b in dio.iter_batches(ds, "train", 4, 2, 4, shuffle=True, rng=rng):
-                out.extend(b.origins.tolist())
-            return out
+        def starts(seed):
+            batches = dio.iter_batches(ds, "train", 4, 2, 4, np.random.default_rng(seed))
+            return self.starts(batches).tolist()
 
-        assert origins(1) == origins(1)
-        assert sorted(origins(1)) == list(range(15))
-        assert origins(1) != origins(2)  # overwhelmingly likely for 15 origins
-
-    def test_shuffle_requires_rng(self):
-        with pytest.raises(UsageError):
-            next(iter(dio.iter_batches(self.make(10), "train", 4, 2, 4, shuffle=True)))
+        want = np.random.default_rng(1).permutation(dio.window_origins(ds, "train", 4, 2))
+        assert starts(1) == starts(1) == want.tolist()
+        assert sorted(starts(1)) == list(range(15))
+        assert starts(1) != starts(2)  # overwhelmingly likely for 15 origins
 
     def test_partial_final_batch(self):
         ds = self.make(10)
@@ -299,12 +301,11 @@ class TestIterBatches:
         # rows [0,12) train, [12,18) val: val targets stay inside the split
         ds = self.make(20, bounds=((0, 12), (12, 18), (18, 20)))
         batches = list(dio.iter_batches(ds, "val", 4, 2, batch_size=64))
-        origins = np.concatenate([b.origins for b in batches])
-        assert origins[0] == 8  # 12 - L
-        for b in batches:
-            for i in range(len(b)):
-                t = b.origins[i]
-                assert t + 4 >= 12 and t + 6 <= 18  # targets inside [12, 18)
+        starts = self.starts(batches)
+        np.testing.assert_array_equal(starts, dio.window_origins(ds, "val", 4, 2))
+        assert starts[0] == 8  # 12 - L
+        targets = np.concatenate([b.endo_future[:, 0] for b in batches])
+        assert targets.min() == 12 and targets.max() == 17  # targets inside [12, 18)
 
     def test_split_with_no_windows(self):
         ds = self.make(10, bounds=((0, 9), (9, 10), (0, 0)))
@@ -325,8 +326,9 @@ def column_lists(ds):
 
 
 def reference_batches(ds, split, L, S, batch_size, rng=None):
-    """(endo history, exo history, endo future, origins) per batch, gathered window by window
-    through index lists of the endogenous and exogenous columns."""
+    """(endo history, exo history, endo future) per batch, gathered window by window through
+    index lists of the endogenous and exogenous columns, at the origins of
+    :func:`window_origins` or ``rng``'s permutation of them."""
     endo, exo = column_lists(ds)
     origins = dio.window_origins(ds, split, L, S)
     if rng is not None:
@@ -335,7 +337,7 @@ def reference_batches(ds, split, L, S, batch_size, rng=None):
         idx = origins[i:i + batch_size]
         hist = np.stack([ds.values[t:t + L].T for t in idx])
         fut = np.stack([ds.values[t + L:t + L + S].T for t in idx])
-        yield hist[:, endo], hist[:, exo], fut[:, endo], idx
+        yield hist[:, endo], hist[:, exo], fut[:, endo]
 
 
 class TestColumnSlices:
@@ -352,11 +354,10 @@ class TestColumnSlices:
         index lists, in C order."""
         rng = np.random.default_rng(4) if shuffle else None
         twin = np.random.default_rng(4) if shuffle else None
-        got = list(dio.iter_batches(ds, split, 6, 3, 7, shuffle=shuffle, rng=rng))
+        got = list(dio.iter_batches(ds, split, 6, 3, 7, rng))
         want = list(reference_batches(ds, split, 6, 3, 7, twin))
         assert len(got) == len(want) and len(got[-1]) < 7
-        for b, (endo, exo, fut, idx) in zip(got, want):
-            np.testing.assert_array_equal(b.origins, idx)
+        for b, (endo, exo, fut) in zip(got, want):
             np.testing.assert_array_equal(b.endo_history, endo)
             np.testing.assert_array_equal(b.exo_history, exo)
             np.testing.assert_array_equal(b.endo_future, fut)
@@ -381,7 +382,6 @@ class TestColumnSlices:
         endo, exo = column_lists(ds)
         np.testing.assert_array_equal(b.endo_history, trailing[:, endo])
         np.testing.assert_array_equal(b.exo_history, trailing[:, exo])
-        np.testing.assert_array_equal(b.origins, [ds.n_rows - 6])
         assert b.endo_history.flags.c_contiguous and b.exo_history.flags.c_contiguous
 
     def test_inverse_scale_uses_the_endogenous_statistics(self, ds):
@@ -605,13 +605,13 @@ class TestTailRead:
         assert dio.read_csv_tail(path, 2)[1].tolist() == [[1.5], [2.5]]
         assert dio.read_csv_tail(path, 3) is None
 
-    @pytest.mark.parametrize("tail, first_row", [(3, None), (None, 0)])
-    def test_a_tail_read_window_has_no_origin(self, toy_csv, tail, first_row):
+    @pytest.mark.parametrize("tail", [3, None])
+    def test_a_tail_read_dataset_holds_the_last_rows(self, toy_csv, tail):
         scaler = {"variable_names": ["a", "b", "c"], "mean": [0.0] * 3, "std": [1.0] * 3}
         ds = dio.load_csv_with_scaler(toy_csv, scaler, "multivariate", (0.6, 0.2, 0.2),
                                       tail_rows=tail)
-        assert ds.first_row == first_row and ds.n_rows == (tail or 40)
+        assert ds.n_rows == (tail or 40)
         whole = dio.load_csv_with_scaler(toy_csv, scaler, "multivariate", (0.6, 0.2, 0.2))
         np.testing.assert_array_equal(ds.values, whole.values[-ds.n_rows:])
-        b = dio.last_window(ds, 3)
-        assert b.origins is None if tail else b.origins.tolist() == [37]
+        np.testing.assert_array_equal(dio.last_window(ds, 3).endo_history,
+                                      dio.last_window(whole, 3).endo_history)

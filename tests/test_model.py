@@ -167,7 +167,7 @@ class TestEmbed:
         p = make_params(cfg)
         x = Tensor(np.zeros((2, cfg.n_endo, cfg.lookback)))
         e = Tensor(np.zeros((2, cfg.n_exo, cfg.lookback)))
-        xe, ee = mdl.embed(x, e, p)
+        xe, ee = mdl.embed(x, e, p, {})
         np.testing.assert_allclose(xe.data, 0.0)
         np.testing.assert_allclose(ee.data, 0.0)
 
@@ -177,14 +177,14 @@ class TestEmbed:
         p.embed_endo_w.data[...] = np.eye(8)
         p.embed_endo_b.data[...] = 0.0
         x = np.random.default_rng(0).normal(size=(3, cfg.n_endo, 8))
-        xe, _ = mdl.embed(Tensor(x), Tensor(np.zeros((3, cfg.n_exo, 8))), p)
+        xe, _ = mdl.embed(Tensor(x), Tensor(np.zeros((3, cfg.n_exo, 8))), p, {})
         np.testing.assert_allclose(xe.data, x)
 
     def test_wrong_length_rejected(self):
         cfg = tiny_cfg()
         p = make_params(cfg)
         with pytest.raises(DimensionError):
-            mdl.embed(Tensor(np.zeros((2, 2, 9))), Tensor(np.zeros((2, 3, 8))), p)
+            mdl.embed(Tensor(np.zeros((2, 2, 9))), Tensor(np.zeros((2, 3, 8))), p, {})
 
     def test_embed_weight_grads_match_fd(self):
         cfg = tiny_cfg()
@@ -195,7 +195,7 @@ class TestEmbed:
         y = Tensor(b.endo_future)
 
         def f():
-            yhat, _ = mdl.forward(b, p, training=False)
+            yhat, _ = mdl.forward(b, p)
             return mse_loss(yhat, y)
 
         report = tc.grad_check(f, [p.embed_endo_w, p.embed_exo_w], step=1e-4, rel_tol=1e-4)
@@ -206,7 +206,7 @@ def concat_tgm(x, p):
     """The TGM as the paper writes it, on the concatenation [embedding, token]: ``gate =
     act(relu([x, tok] @ tgm_w1 + tgm_b1) @ tgm_w2 + tgm_b2)`` times [x, tok], split in two."""
     b, m, d = x.shape
-    tok = tc.broadcast_to(tc.reshape(p.global_tokens, (1, m, d)), (b, m, d))
+    tok = tc.concat([tc.reshape(p.global_tokens, (1, m, d))] * b, axis=0)
     z = tc.concat([x, tok], axis=-1)
     h = tc.activation(z @ p.tgm_w1 + p.tgm_b1, "relu")
     gate = tc.activation(h @ p.tgm_w2 + p.tgm_b2, p.cfg.gate_activation)
@@ -254,8 +254,8 @@ class TestAttachGlobalTokens:
             mdl.attach_global_tokens(Tensor(np.ones((2, 3, 6))), p)
 
 
-def run_tgm(x, p, training=False, masks=None):
-    return mdl.tgm(x, mdl.attach_global_tokens(x, p), p, training, masks)
+def run_tgm(x, p):
+    return mdl.tgm(x, mdl.attach_global_tokens(x, p), p, {})
 
 
 class TestTgm:
@@ -328,7 +328,7 @@ class TestTgm:
         y = Tensor(b.endo_future)
 
         def f():
-            yhat, _ = mdl.forward(b, p, training=False)
+            yhat, _ = mdl.forward(b, p)
             return mse_loss(yhat, y)
 
         report = tc.grad_check(f, [p.tgm_w1, p.tgm_b1, p.global_tokens], step=1e-4,
@@ -344,7 +344,7 @@ class TestVgm:
         rng = np.random.default_rng(6)
         e = rng.normal(size=(3, 3, 6))
         g = rng.normal(size=(3, 2, 6))
-        x_glob2, gate = mdl.vgm(Tensor(e), Tensor(g), p)
+        x_glob2, gate = mdl.vgm(Tensor(e), Tensor(g), p, {})
         np.testing.assert_allclose(x_glob2.data, 0.5 * g)
         assert gate.shape == (3, 2, 6)
 
@@ -352,7 +352,7 @@ class TestVgm:
         cfg = tiny_cfg(n_exo=0)
         p = make_params(cfg, seed=10)
         g = np.random.default_rng(7).normal(size=(2, 2, 6))
-        x_glob2, gate = mdl.vgm(Tensor(np.zeros((2, 0, 6))), Tensor(g), p)
+        x_glob2, gate = mdl.vgm(Tensor(np.zeros((2, 0, 6))), Tensor(g), p, {})
         assert x_glob2.shape == (2, 2, 6)
         assert gate.shape == (2, 2, 6)
 
@@ -364,8 +364,8 @@ class TestVgm:
         e = rng.normal(size=(2, 3, 6))
         g = rng.normal(size=(2, 2, 6))
         perm = np.array([5, 3, 0, 1, 4, 2])
-        a_glob, a_gate = mdl.vgm(Tensor(e), Tensor(g), p)
-        b_glob, b_gate = mdl.vgm(Tensor(e[:, :, perm]), Tensor(g[:, :, perm]), p)
+        a_glob, a_gate = mdl.vgm(Tensor(e), Tensor(g), p, {})
+        b_glob, b_gate = mdl.vgm(Tensor(e[:, :, perm]), Tensor(g[:, :, perm]), p, {})
         np.testing.assert_allclose(b_glob.data, a_glob.data[:, :, perm])
         np.testing.assert_allclose(b_gate.data, a_gate.data[:, :, perm])
 
@@ -393,12 +393,12 @@ class TestVgm:
         g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
         weights = data.normal(size=(3, n_endo, 6))
 
-        masks = lane_table(np.random.default_rng(8), cfg, 3)
+        table = lane_table(np.random.default_rng(8), cfg, 3) if training else {}
 
-        def unpruned(e, g, p, training, masks):
+        def unpruned(e, g, p, masks):
             tok = tc.concat([e, g], axis=1)
             h = tc.activation(tc.transpose(tok) @ p.vgm_w1 + p.vgm_b1, "relu")
-            h = tc.dropout(h, cfg.c_dropout, training, masks["vgm"])
+            h = tc.dropout(h, cfg.c_dropout, "vgm" in masks, masks.get("vgm"))
             gate = tc.transpose(tc.activation(h @ full.vgm_w2 + full.vgm_b2,
                                               cfg.gate_activation))
             _, x_glob2 = tc.split(gate * tok, (n_exo, n_endo), axis=1)
@@ -411,7 +411,7 @@ class TestVgm:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
-                outs = fn(e, g, p, training, masks)
+                outs = fn(e, g, p, table)
                 loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
             tc.backward(loss, tape)
             return [o.data for o in outs], [t.grad.copy() for t in leaves + [w2, b2]]
@@ -438,14 +438,14 @@ class TestVgm:
         e = Tensor(data.normal(size=(3, n_exo, 6)), requires_grad=True)
         g = Tensor(data.normal(size=(3, n_endo, 6)), requires_grad=True)
         weights = data.normal(size=(3, n_endo, 6))
-        masks = lane_table(np.random.default_rng(8), cfg, 3)
+        table = lane_table(np.random.default_rng(8), cfg, 3) if training else {}
 
-        def two_concat(e_exo, x_glob, params, training, masks):
+        def two_concat(e_exo, x_glob, params, masks):
             t = tc.transpose(tc.concat([e_exo, x_glob], axis=1))
             t1 = tc.concat([t, Tensor(np.ones(t.shape[:-1] + (1,)))], axis=-1)
             w1 = tc.concat([params.vgm_w1, tc.reshape(params.vgm_b1, (1, cfg.c_ff))], axis=0)
-            h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout, training,
-                       masks["vgm"])
+            h = tc.mlp(t1, w1, None, params.vgm_w2, params.vgm_b2, cfg.c_dropout,
+                       masks.get("vgm"))
             gate = tc.activation(h, cfg.gate_activation)
             if cfg.gate_activation == "softmax":
                 gate = tc.narrow(gate, -1, cfg.n_exo, cfg.n_endo)
@@ -459,7 +459,7 @@ class TestVgm:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
-                outs = fn(e, g, p, training, masks)
+                outs = fn(e, g, p, table)
                 loss = tc.tsum(outs[1] * Tensor(weights)) + tc.tsum(outs[0] * outs[0])
             tc.backward(loss, tape)
             return [o.data for o in outs] + [t.grad.copy() for t in leaves]
@@ -478,7 +478,7 @@ class TestVgm:
         hidden_bytes = 64 * cfg.d_model * cfg.c_ff * 8
         tracemalloc.start()
         try:
-            mdl.vgm(e, g, p)
+            mdl.vgm(e, g, p, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -493,7 +493,7 @@ class TestHead:
         p.head_b.data[...] = np.array([1.0, -2.0, 3.0, 0.25])
         rng = np.random.default_rng(9)
         out = mdl.head(Tensor(rng.normal(size=(3, 2, 6))),
-                       Tensor(rng.normal(size=(3, 2, 6))), p)
+                       Tensor(rng.normal(size=(3, 2, 6))), p, {})
         np.testing.assert_allclose(out.data, np.broadcast_to(p.head_b.data, (3, 2, 4)))
 
     def test_paper_scale_output_shape(self):
@@ -501,7 +501,7 @@ class TestHead:
         p = make_params(cfg)
         rng = np.random.default_rng(10)
         out = mdl.head(Tensor(rng.normal(size=(2, 7, 6))),
-                       Tensor(rng.normal(size=(2, 7, 6))), p)
+                       Tensor(rng.normal(size=(2, 7, 6))), p, {})
         assert out.shape == (2, 7, 96)
 
     def test_channel_permutation_equivariance(self):
@@ -511,8 +511,8 @@ class TestHead:
         a = rng.normal(size=(2, 5, 6))
         b = rng.normal(size=(2, 5, 6))
         perm = np.array([4, 2, 0, 1, 3])
-        out = mdl.head(Tensor(a), Tensor(b), p)
-        out_p = mdl.head(Tensor(a[:, perm]), Tensor(b[:, perm]), p)
+        out = mdl.head(Tensor(a), Tensor(b), p, {})
+        out_p = mdl.head(Tensor(a[:, perm]), Tensor(b[:, perm]), p, {})
         np.testing.assert_allclose(out_p.data, out.data[:, perm])
 
     def test_head_weight_grads_match_fd(self):
@@ -522,7 +522,7 @@ class TestHead:
         y = Tensor(b.endo_future)
 
         def f():
-            yhat, _ = mdl.forward(b, p, training=False)
+            yhat, _ = mdl.forward(b, p)
             return mse_loss(yhat, y)
 
         report = tc.grad_check(f, [p.head_w, p.head_b], step=1e-4, rel_tol=1e-4)
@@ -534,15 +534,15 @@ class TestForward:
         cfg = tiny_cfg()
         p = make_params(cfg, seed=15)
         b = make_batch(cfg)
-        y1, _ = mdl.forward(b, p, training=False)
-        y2, _ = mdl.forward(b, p, training=False)
+        y1, _ = mdl.forward(b, p)
+        y2, _ = mdl.forward(b, p)
         assert np.array_equal(y1.data, y2.data)
 
     def test_prediction_shape_and_trace(self):
         cfg = tiny_cfg()
         p = make_params(cfg, seed=16)
         b = make_batch(cfg, n=4)
-        yhat, trace = mdl.forward(b, p, training=False)
+        yhat, trace = mdl.forward(b, p)
         assert yhat.shape == (4, 2, 4)
         assert trace.time_gate.shape == (4, 2, 12)
         assert trace.variate_gate.shape == (4, 2, 6)
@@ -551,8 +551,7 @@ class TestForward:
         cfg = tiny_cfg(embed_dropout=0.3, t_dropout=0.2, c_dropout=0.2, head_dropout=0.2)
         p = make_params(cfg, seed=17)
         b = make_batch(cfg)
-        ya, yb, yc = (mdl.forward(b, p, training=True,
-                                  masks=lane_table(np.random.default_rng(seed), cfg, 5))[0]
+        ya, yb, yc = (mdl.forward(b, p, lane_table(np.random.default_rng(seed), cfg, 5))[0]
                       for seed in (1, 1, 2))
         assert np.array_equal(ya.data, yb.data)
         assert not np.array_equal(ya.data, yc.data)
@@ -560,18 +559,43 @@ class TestForward:
     @pytest.mark.parametrize("site", ["embed_dropout", "t_dropout", "c_dropout",
                                       "head_dropout"])
     def test_training_dropout_without_its_mask_is_a_usage_error(self, site):
-        """Each dropout site, the gating MLPs' hidden layers included, names the missing keep
-        mask, with no table or with a table that lacks the site."""
+        """Each dropout site, the gating MLPs' hidden layers included, is named as missing
+        from a table that lacks it."""
         cfg = tiny_cfg(**{site: 0.2})
-        for masks in (None, {}):
-            with pytest.raises(UsageError, match="needs a keep mask"):
-                mdl.forward(make_batch(cfg), make_params(cfg), training=True, masks=masks)
+        with pytest.raises(UsageError, match="needs a keep mask") as err:
+            mdl.forward(make_batch(cfg), make_params(cfg), {})
+        assert list(mdl.dropout_sites(cfg, 5))[0] in str(err.value)
+
+    def test_a_table_with_an_extra_site_is_a_usage_error(self):
+        """A mask for a site the config does not drop out at, here a rate-0 one, is refused,
+        not ignored."""
+        cfg = tiny_cfg(head_dropout=0.2)
+        masks = lane_table(np.random.default_rng(3), cfg, 5)
+        masks["tgm"] = np.ones((5, cfg.n_endo, cfg.t_ff), bool)
+        with pytest.raises(UsageError, match="needs a keep mask"):
+            mdl.forward(make_batch(cfg), make_params(cfg), masks)
+
+    def test_a_taped_empty_table_at_zero_rates_is_the_eval_forward(self):
+        """With every rate 0 a training forward's table is empty, and it has the bits of
+        the eval forward."""
+        cfg = tiny_cfg(gate_activation="softmax")
+        p = make_params(cfg, seed=30)
+        b = make_batch(cfg, seed=31)
+        assert mdl.dropout_sites(cfg, 5) == {}
+        y_eval, trace_eval = mdl.forward(b, p)
+        tape = tc.Tape()
+        with tc.record(tape):
+            y_train, trace_train = mdl.forward(b, p, {})
+        assert y_train.requires_grad and tape.nodes
+        np.testing.assert_array_equal(y_train.data, y_eval.data)
+        np.testing.assert_array_equal(trace_train.time_gate, trace_eval.time_gate)
+        np.testing.assert_array_equal(trace_train.variate_gate, trace_eval.variate_gate)
 
     def test_a_mask_table_of_another_batch_size_is_a_dimension_error(self):
         cfg = tiny_cfg(head_dropout=0.2)
         with pytest.raises(DimensionError, match="keep mask shape"):
-            mdl.forward(make_batch(cfg, n=5), make_params(cfg), training=True,
-                        masks=lane_table(np.random.default_rng(3), cfg, 6))
+            mdl.forward(make_batch(cfg, n=5), make_params(cfg),
+                        lane_table(np.random.default_rng(3), cfg, 6))
 
     def test_ablations_differ_only_through_gated_global_path(self):
         cfg_full = tiny_cfg()
@@ -579,28 +603,28 @@ class TestForward:
         b = make_batch(cfg_full)
         p = make_params(cfg_full, seed=18)
         p_endo = make_params(cfg_endo, seed=18)
-        y_full, t_full = mdl.forward(b, p, training=False)
-        y_endo, t_endo = mdl.forward(b, p_endo, training=False)
+        y_full, t_full = mdl.forward(b, p)
+        y_endo, t_endo = mdl.forward(b, p_endo)
         # the temporally gated endogenous path is identical in both graphs
         np.testing.assert_allclose(t_full.time_gate, t_endo.time_gate)
         assert not np.allclose(y_full.data, y_endo.data)
         # endo_only is blind to the VGM parameters; full is not
         p_endo.vgm_w2.data[...] += 0.5
-        y_endo2, _ = mdl.forward(b, p_endo, training=False)
+        y_endo2, _ = mdl.forward(b, p_endo)
         np.testing.assert_allclose(y_endo2.data, y_endo.data)
         p.vgm_w2.data[...] += 0.5
-        y_full2, _ = mdl.forward(b, p, training=False)
+        y_full2, _ = mdl.forward(b, p)
         assert not np.allclose(y_full2.data, y_full.data)
 
     def test_global_only_ignores_endo_head_half(self):
         cfg = tiny_cfg(ablation="global_only")
         p = make_params(cfg, seed=19)
         b = make_batch(cfg)
-        y1, _ = mdl.forward(b, p, training=False)
+        y1, _ = mdl.forward(b, p)
         # the endo half of the head input is zeroed, so the first d_model
         # rows of the head weight cannot influence the output
         p.head_w.data[:cfg.d_model, :] += 123.0
-        y2, _ = mdl.forward(b, p, training=False)
+        y2, _ = mdl.forward(b, p)
         np.testing.assert_allclose(y1.data, y2.data)
 
     def test_tiny_model_full_gradient_check(self):
@@ -610,7 +634,7 @@ class TestForward:
         y = Tensor(b.endo_future)
 
         def f():
-            yhat, _ = mdl.forward(b, p, training=False)
+            yhat, _ = mdl.forward(b, p)
             return mse_loss(yhat, y)
 
         report = tc.grad_check(f, p.all(), step=1e-4, rel_tol=1e-4)
@@ -623,7 +647,7 @@ class TestForward:
         b.endo_history = b.endo_history.copy()
         b.endo_history[0, 0, 0] = np.nan
         with pytest.raises(NumericFault, match="input"):
-            mdl.forward(b, p, training=False)
+            mdl.forward(b, p)
 
     def test_poisoned_head_bias_names_stage(self):
         cfg = tiny_cfg()
@@ -631,27 +655,27 @@ class TestForward:
         p.head_b.data[...] = np.nan
         b = make_batch(cfg)
         with pytest.raises(NumericFault, match="head"):
-            mdl.forward(b, p, training=False)
+            mdl.forward(b, p)
 
     def test_channel_count_guard(self):
         cfg = tiny_cfg()
         p = make_params(cfg)
         b = make_batch(tiny_cfg(n_endo=3, n_exo=3))
         with pytest.raises(DimensionError):
-            mdl.forward(b, p, training=False)
+            mdl.forward(b, p)
 
     @pytest.mark.parametrize("kind,lo,hi", [("sigmoid", 0.0, 1.0), ("tanh", -1.0, 1.0)])
     def test_gate_ranges(self, kind, lo, hi):
         cfg = tiny_cfg(gate_activation=kind)
         p = make_params(cfg, seed=22)
-        _, trace = mdl.forward(make_batch(cfg), p, training=False)
+        _, trace = mdl.forward(make_batch(cfg), p)
         for g in (trace.time_gate, trace.variate_gate):
             assert np.all(g > lo) and np.all(g < hi)
 
     def test_softmax_gate_rows_normalize_over_mixed_axis(self):
         cfg = tiny_cfg(gate_activation="softmax")
         p = make_params(cfg, seed=23)
-        _, trace = mdl.forward(make_batch(cfg), p, training=False)
+        _, trace = mdl.forward(make_batch(cfg), p)
         # TGM mixes the last (2*d_model) axis
         np.testing.assert_allclose(trace.time_gate.sum(axis=-1), 1.0, atol=1e-9)
         # VGM mixes all C+M channels; the trace keeps the M global-token rows, which hold
@@ -659,7 +683,7 @@ class TestForward:
         glob_mass = trace.variate_gate.sum(axis=1)
         assert np.all(glob_mass > 0.0) and np.all(glob_mass < 1.0)
         cfg0 = tiny_cfg(gate_activation="softmax", n_exo=0)
-        _, trace0 = mdl.forward(make_batch(cfg0), make_params(cfg0, seed=23), training=False)
+        _, trace0 = mdl.forward(make_batch(cfg0), make_params(cfg0, seed=23))
         np.testing.assert_allclose(trace0.variate_gate.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("gate", mdl.GATE_ACTIVATIONS)
@@ -673,10 +697,10 @@ class TestForward:
         cfg = tiny_cfg(gate_activation=gate, n_endo=n_endo, n_exo=n_exo, ablation=ablation)
         p = make_params(cfg, seed=24)
         b = make_batch(cfg, n=11, seed=25)
-        y_eval, trace_eval = mdl.forward(b, p, training=False)
+        y_eval, trace_eval = mdl.forward(b, p)
         tape = tc.Tape()
         with tc.record(tape):
-            y_taped, trace_taped = mdl.forward(b, p, training=False)
+            y_taped, trace_taped = mdl.forward(b, p)
         assert tape.nodes and not y_eval.requires_grad
         np.testing.assert_array_equal(y_eval.data, y_taped.data)
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
@@ -703,11 +727,11 @@ class TestForward:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(tc, "_walk", walk)
-            y_eval, trace_eval = mdl.forward(b, p, training=False)
+            y_eval, trace_eval = mdl.forward(b, p)
         assert len(threads) == 4 and len(set(threads)) == 2
         tape = tc.Tape()
         with tc.record(tape):
-            y_taped, trace_taped = mdl.forward(b, p, training=False)
+            y_taped, trace_taped = mdl.forward(b, p)
         assert tape.nodes and not y_eval.requires_grad
         np.testing.assert_array_equal(y_eval.data, y_taped.data)
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
@@ -722,10 +746,10 @@ class TestForward:
                               c_ff=512)
         p = make_params(cfg, seed=26)
         b = make_batch(cfg, n=5, seed=27)
-        y_eval, trace_eval = mdl.forward(b, p, training=False)
+        y_eval, trace_eval = mdl.forward(b, p)
         tape = tc.Tape()
         with tc.record(tape):
-            y_taped, trace_taped = mdl.forward(b, p, training=False)
+            y_taped, trace_taped = mdl.forward(b, p)
         assert tape.nodes and not y_eval.requires_grad
         np.testing.assert_array_equal(y_eval.data, y_taped.data)
         np.testing.assert_array_equal(trace_eval.time_gate, trace_taped.time_gate)
@@ -768,7 +792,7 @@ class TestOneHistory:
                 t.zero_grad()
             tape = tc.Tape()
             with tc.record(tape):
-                y, _ = mdl.forward(b, p, training=True, masks=masks)
+                y, _ = mdl.forward(b, p, masks)
                 loss = mse_loss(y, Tensor(b.endo_future))
             tc.backward(loss, tape)
             runs.append([y.data] + [t.grad for t in p.all()])
@@ -780,9 +804,9 @@ class TestOneHistory:
         calls = []
         real = mdl.revin_normalize
         monkeypatch.setattr(mdl, "revin_normalize", lambda *a: calls.append(a) or real(*a))
-        mdl.forward(batch, p, training=False)
+        mdl.forward(batch, p)
         assert len(calls) == 1
-        mdl.forward(twin, p, training=False)
+        mdl.forward(twin, p)
         assert len(calls) == 3
 
 
@@ -790,7 +814,7 @@ class TestExport:
     def test_zero_weight_gates_export_as_half(self, tmp_path):
         cfg = tiny_cfg()
         p = zero_gates(make_params(cfg))
-        _, trace = mdl.forward(make_batch(cfg), p, training=False)
+        _, trace = mdl.forward(make_batch(cfg), p)
         t_path, v_path = mdl.export_gating_weights(trace, tmp_path)
         for path in (t_path, v_path):
             lines = Path(path).read_text().strip().split("\n")
@@ -801,7 +825,7 @@ class TestExport:
     def test_variate_gate_row_count_and_header(self, tmp_path):
         cfg = tiny_cfg()
         p = make_params(cfg, seed=24)
-        _, trace = mdl.forward(make_batch(cfg), p, training=False)
+        _, trace = mdl.forward(make_batch(cfg), p)
         _, v_path = mdl.export_gating_weights(trace, tmp_path, endo_names=["y1", "y2"])
         lines = Path(v_path).read_text().strip().split("\n")
         assert len(lines) == 1 + cfg.n_endo
@@ -810,14 +834,14 @@ class TestExport:
 
     def test_label_count_mismatch_rejected(self, tmp_path):
         cfg = tiny_cfg()
-        _, trace = mdl.forward(make_batch(cfg), make_params(cfg, seed=24), training=False)
+        _, trace = mdl.forward(make_batch(cfg), make_params(cfg, seed=24))
         with pytest.raises(DimensionError, match="3 endo labels"):
             mdl.export_gating_weights(trace, tmp_path, endo_names=["y1", "y2", "y3"])
 
     def test_re_export_is_byte_identical(self, tmp_path):
         cfg = tiny_cfg()
         p = make_params(cfg, seed=25)
-        _, trace = mdl.forward(make_batch(cfg), p, training=False)
+        _, trace = mdl.forward(make_batch(cfg), p)
         a = tmp_path / "a"
         b = tmp_path / "b"
         t1, v1 = mdl.export_gating_weights(trace, a)

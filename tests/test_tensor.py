@@ -194,7 +194,7 @@ class TestMatmul:
                                 exo_history=rng.normal(size=(3, 2, 6)))
         tape = Tape()
         with record(tape):
-            yhat, _ = mdl.forward(batch, params, training=True, masks=lane_table(rng, cfg, 3))
+            yhat, _ = mdl.forward(batch, params, lane_table(rng, cfg, 3))
             loss = tc.tsum(yhat * yhat)
         backward(loss, tape)
         named = params.named()
@@ -363,7 +363,6 @@ class TestShapeOps:
         lambda x: tc.transpose(x),
         lambda x: tc.reshape(x, (6,)),
         lambda x: tc.narrow(x, 1, 1, 2),
-        lambda x: tc.broadcast_to(tc.reshape(x, (2, 3, 1)), (2, 3, 4)),
     ])
     def test_shape_op_grads(self, make):
         rng = np.random.default_rng(9)
@@ -561,10 +560,10 @@ class TestDrawKeep:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def hidden_layer(x, rate, training, keep):
+def hidden_layer(x, rate, keep):
     """``mlp``'s hidden layer on ``x``: both of its layers are identities with no bias."""
     eye = Tensor(np.eye(x.shape[-1]))
-    return tc.mlp(x, eye, None, eye, Tensor(np.zeros(x.shape[-1])), rate, training, keep)
+    return tc.mlp(x, eye, None, eye, Tensor(np.zeros(x.shape[-1])), rate, keep)
 
 
 class TestReluDropout:
@@ -573,23 +572,24 @@ class TestReluDropout:
     def test_equals_dropout_of_relu_by_the_same_mask(self):
         x = Tensor(np.random.default_rng(3).normal(size=(4, 5, 6)))
         keep, _ = lane_keep(np.random.default_rng(11), x.shape, 0.3)
-        fused = hidden_layer(x, 0.3, training=True, keep=keep).data
+        fused = hidden_layer(x, 0.3, keep).data
         plain = tc.dropout(tc.activation(x, "relu"), 0.3, training=True, keep=keep).data
         assert np.array_equal(fused, plain)  # equal as numbers: -0.0 == 0.0
         assert np.array_equal(np.abs(fused), np.abs(plain))
         assert (fused > 0).any() and (fused == 0).any()
 
     def test_eval_and_rate_zero_are_relu(self):
+        """No keep mask, or a rate of 0 whatever the mask, is no dropout."""
         x = Tensor(np.array([[-1.5, 0.0, 2.0]]))
         for taped in (False, True):
-            for training, rate in ((False, 0.5), (True, 0.0)):
+            for rate, keep in ((0.5, None), (0.0, np.zeros((1, 3), bool))):
                 with record(Tape()) if taped else contextlib.nullcontext():
-                    out = hidden_layer(x, rate, training, keep=None)
+                    out = hidden_layer(x, rate, keep)
                 assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            hidden_layer(Tensor([[1.0]]), 1.0, training=True, keep=np.ones((1, 1), bool))
+            hidden_layer(Tensor([[1.0]]), 1.0, np.ones((1, 1), bool))
 
     def test_grad_check_in_training(self):
         rng = np.random.default_rng(4)
@@ -599,7 +599,7 @@ class TestReluDropout:
         keep, _ = lane_keep(np.random.default_rng(9), x.shape, 0.4)
 
         def f():
-            y = hidden_layer(x, 0.4, training=True, keep=keep)
+            y = hidden_layer(x, 0.4, keep)
             return tc.tsum(y * y * w)
 
         report = grad_check(f, [x], rel_tol=1e-6)
@@ -696,7 +696,7 @@ class TestMlp:
         x = np.random.default_rng(13).normal(size=(rows, 5))
         h = x @ w1.data + (b1.data if bias else 0.0)
         want = np.maximum(h, 0.0) @ w2.data + b2.data
-        got = tc.mlp(Tensor(x), w1, b1, w2, b2, 0.4, training=False, keep=None)
+        got = tc.mlp(Tensor(x), w1, b1, w2, b2, 0.4, None)
         np.testing.assert_array_equal(got.data, want)
         assert not got.requires_grad
 
@@ -729,8 +729,8 @@ class TestMlp:
             y = tc.activation(x @ w1 + term, "relu") @ w2 + b2
             return y if act is None else tc.activation(y, act)
 
-        got = run(lambda: tc.mlp(x, w1, term, w2, b2, 0.0, False, None, act))
-        evaluated = tc.mlp(x, w1, term, w2, b2, 0.0, False, None, act)
+        got = run(lambda: tc.mlp(x, w1, term, w2, b2, 0.0, None, act))
+        evaluated = tc.mlp(x, w1, term, w2, b2, 0.0, None, act)
         np.testing.assert_array_equal(evaluated.data, got[0])
         for a, b in zip(got, run(composed)):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
@@ -739,20 +739,19 @@ class TestMlp:
     def test_a_first_bias_of_neither_shape_is_one_dimension_error(self, shape):
         w1, _, w2, b2 = self.layers()
         with pytest.raises(DimensionError, match="first bias"):
-            tc.mlp(Tensor(np.ones((2, 3, 5))), w1, Tensor(np.ones(shape)), w2, b2, 0.0, False,
-                   None)
+            tc.mlp(Tensor(np.ones((2, 3, 5))), w1, Tensor(np.ones(shape)), w2, b2, 0.0, None)
 
     def test_an_unknown_gate_kind_is_one_config_error(self):
         w1, b1, w2, b2 = self.layers()
         with pytest.raises(ConfigError, match="gelu"):
-            tc.mlp(Tensor(np.ones((2, 5))), w1, b1, w2, b2, 0.0, False, None, "gelu")
+            tc.mlp(Tensor(np.ones((2, 5))), w1, b1, w2, b2, 0.0, None, "gelu")
 
     def test_keeps_the_leading_axes(self, monkeypatch):
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(14).normal(size=(3, 7, 5)))
-        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=True, keep=None)
-        flat = tc.mlp(tc.reshape(x, (21, 5)), w1, b1, w2, b2, 0.0, training=False, keep=None)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.0, None)
+        flat = tc.mlp(tc.reshape(x, (21, 5)), w1, b1, w2, b2, 0.0, None)
         assert got.shape == (3, 7, 3)
         np.testing.assert_array_equal(got.data.reshape(21, 3), flat.data)
 
@@ -775,7 +774,7 @@ class TestMlp:
             hidden = []
             with record(tape):
                 if fused:
-                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, keep if training else None)
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, keep if training else None)
                 else:
                     parts = []
                     blocks = tc.split(tc.reshape(x, (20, 5)), (8, 8, 4), 0)
@@ -822,7 +821,7 @@ class TestMlp:
             tape = Tape()
             with record(tape):
                 if fused:
-                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, training, keep if training else None)
+                    y = tc.mlp(x, w1, b1, w2, b2, 0.3, keep if training else None)
                 else:
                     x2 = tc.reshape(x, (9, 5))
                     h = x2 @ w1 + b1 if bias else x2 @ w1
@@ -850,7 +849,7 @@ class TestMlp:
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(17).normal(size=(9, 5)))
         keep, _ = lane_keep(np.random.default_rng(18), (9, 8), 0.5)
-        got = tc.mlp(x, w1, b1, w2, b2, 0.5, training=True, keep=keep)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.5, keep)
         want = tc.dropout(tc.activation(x @ w1 + b1, "relu"), 0.5, True, keep) @ w2 + b2
         np.testing.assert_array_equal(got.data, want.data)
 
@@ -863,7 +862,7 @@ class TestMlp:
         x = Tensor(np.ones((4, 3, 5)))
         with pytest.raises(DimensionError, match=r"keep mask shape .* \(4, 3, 8\)"), \
                 record(Tape()) if taped else contextlib.nullcontext():
-            tc.mlp(x, w1, b1, w2, b2, 0.1, training=True, keep=np.ones(shape, bool))
+            tc.mlp(x, w1, b1, w2, b2, 0.1, np.ones(shape, bool))
 
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
@@ -871,8 +870,7 @@ class TestMlp:
         w1, b1, w2, b2 = self.layers()
         with pytest.raises(UsageError, match=f"must be bool, got dtype {np.dtype(dtype)}"), \
                 record(Tape()) if taped else contextlib.nullcontext():
-            tc.mlp(Tensor(np.ones((4, 3, 5))), w1, b1, w2, b2, 0.1, training=True,
-                   keep=np.ones((4, 3, 8), dtype))
+            tc.mlp(Tensor(np.ones((4, 3, 5))), w1, b1, w2, b2, 0.1, np.ones((4, 3, 8), dtype))
 
     @pytest.mark.parametrize("w2_shape", [(7, 3), (8,), (8, 3, 1)])
     def test_mis_shaped_w2_raises_as_under_a_tape(self, w2_shape):
@@ -880,18 +878,18 @@ class TestMlp:
         w2 = Tensor(np.zeros(w2_shape), requires_grad=True)
         x = Tensor(np.ones((2, 4, 5)))
         with pytest.raises(DimensionError) as taped, record(Tape()):
-            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, keep=None)
+            tc.mlp(x, w1, b1, w2, b2, 0.1, None)
         with pytest.raises(DimensionError) as eval_mode:
-            tc.mlp(x, w1, b1, w2, b2, 0.1, training=False, keep=None)
+            tc.mlp(x, w1, b1, w2, b2, 0.1, None)
         assert str(eval_mode.value) == str(taped.value)
         assert "matmul" in str(eval_mode.value)
 
     def test_mis_shaped_input_raises_in_eval(self):
         w1, b1, w2, b2 = self.layers()
         with pytest.raises(DimensionError, match="inner dims"):
-            tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, training=False, keep=None)
+            tc.mlp(Tensor(np.ones((2, 4))), w1, b1, w2, b2, 0.1, None)
         with pytest.raises(DimensionError, match="needs"):
-            tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, training=False, keep=None)
+            tc.mlp(Tensor(np.ones(5)), w1, b1, w2, b2, 0.1, None)
 
 
 class InlinePool:
@@ -940,7 +938,7 @@ class TestMlpHelper:
         assert len(bounds) == blocks + 1
         w1, b1, w2, b2 = self.layers(k, width, n, bias=bias)
         x = Tensor(np.random.default_rng(30).normal(size=(rows, k)))
-        got = tc.mlp(x, w1, b1, w2, b2, 0.4, training=False, keep=None)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.4, None)
         mid = len(bounds) // 2
         assert sorted(b for _, b in walks) == [bounds[:mid + 1], bounds[mid:]]
         assert dict((b[0], ident) for ident, b in walks)[0] == threading.get_ident()
@@ -948,13 +946,13 @@ class TestMlpHelper:
         del walks[:]
         with monkeypatch.context() as m:
             m.setattr(tc, "_helper", InlinePool)
-            want = tc.mlp(x, w1, b1, w2, b2, 0.4, training=False, keep=None)
+            want = tc.mlp(x, w1, b1, w2, b2, 0.4, None)
         assert {ident for ident, _ in walks} == {threading.get_ident()}
         np.testing.assert_array_equal(got.data, want.data)
 
     def test_a_one_block_layer_stays_on_the_caller(self, walks):
         w1, b1, w2, b2 = self.layers()
-        tc.mlp(Tensor(np.ones((9, 5))), w1, b1, w2, b2, 0.0, training=False, keep=None)
+        tc.mlp(Tensor(np.ones((9, 5))), w1, b1, w2, b2, 0.0, None)
         assert walks == [(threading.get_ident(), [0, 9])]
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -964,7 +962,7 @@ class TestMlpHelper:
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(31).normal(size=(32, 5)))
-        want = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        want = tc.mlp(x, w1, b1, w2, b2, 0.0, None)
         real, caller, finished = tc._walk, threading.get_ident(), []
 
         def walk(*args):
@@ -978,10 +976,10 @@ class TestMlpHelper:
 
         monkeypatch.setattr(tc, "_walk", walk)
         with pytest.raises(OverflowError, match=f"the {failing}'s half"):
-            tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+            tc.mlp(x, w1, b1, w2, b2, 0.0, None)
         assert finished == [failing == "caller"]
         monkeypatch.setattr(tc, "_walk", real)
-        got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        got = tc.mlp(x, w1, b1, w2, b2, 0.0, None)
         np.testing.assert_array_equal(got.data, want.data)
 
     def test_the_helper_runs_under_the_callers_numpy_error_state(self, monkeypatch):
@@ -994,9 +992,9 @@ class TestMlpHelper:
         layers = (Tensor(w1), Tensor(np.full(8, 1.7e308)), Tensor(np.full((8, 3), 1e-300)),
                   Tensor(np.zeros(3)))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            tc.mlp(Tensor(x), *layers, 0.0, training=False, keep=None)
+            tc.mlp(Tensor(x), *layers, 0.0, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = tc.mlp(Tensor(x), *layers, 0.0, training=False, keep=None).data
+            out = tc.mlp(Tensor(x), *layers, 0.0, None).data
         assert np.isfinite(out[:8]).all() and np.isinf(out[8:]).all()
 
     def test_user_threads_sharing_one_predictor_get_the_one_thread_bits(self, monkeypatch):
@@ -1039,13 +1037,13 @@ class TestMlpHelper:
         monkeypatch.setattr(tc, "MLP_BLOCK_FLOATS", 64)
         w1, b1, w2, b2 = self.layers()
         x = Tensor(np.random.default_rng(34).normal(size=(16, 5)))
-        want = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+        want = tc.mlp(x, w1, b1, w2, b2, 0.0, None)
         pid = os.getpid()
         pool = tc._helpers[pid]
         child = max(tc._helpers) + 1
         monkeypatch.setattr(tc.os, "getpid", lambda: child)
         try:
-            got = tc.mlp(x, w1, b1, w2, b2, 0.0, training=False, keep=None)
+            got = tc.mlp(x, w1, b1, w2, b2, 0.0, None)
             assert tc._helpers[child] is not pool
         finally:
             tc._helpers.pop(child).shutdown(wait=True)

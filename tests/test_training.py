@@ -467,7 +467,7 @@ class TestSubBatches:
         masks = lane_table(np.random.default_rng(9), cfg, len(batch))
         tape = tc.Tape()
         with tc.record(tape):
-            yhat, _ = mdl.forward(batch, params, training=True, masks=masks)
+            yhat, _ = mdl.forward(batch, params, masks)
             loss = tr.mse_loss(yhat, Tensor(batch.endo_future))
         tc.backward(loss, tape)
         taped = {name: None if p.grad is None else p.grad.copy() for name, p in params.named()}
@@ -516,8 +516,8 @@ class TestSubBatches:
         ds = dio.split_and_scale(dio.load_csv(tmp_path / "series.csv", target_mode),
                                  (0.7, 0.1, 0.2), lookback=16, horizon=4)
         tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1, seed=11), ds, echo=False)
-        batches = list(dio.iter_batches(ds, "train", 16, 4, 121, shuffle=True,
-                                        rng=np.random.default_rng(11).spawn(3)[1]))
+        batches = list(dio.iter_batches(ds, "train", 16, 4, 121,
+                                        np.random.default_rng(11).spawn(3)[1]))
         assert [len(b) for b in batches] == [121, 121, 19]
         twin = np.random.default_rng(11).spawn(3)[2]
         want = [keep for b in batches for keep in lane_table(twin, cfg, len(b)).values()]
@@ -561,10 +561,10 @@ class TestSubBatches:
         force_sub_batch_windows(monkeypatch, cfg, 32)
         sizes, real_forward = [], mdl.forward
 
-        def forward(batch, params, training=False, masks=None):
-            if training:
+        def forward(batch, params, masks=None):
+            if masks is not None:
                 sizes.append(len(batch))
-            return real_forward(batch, params, training, masks)
+            return real_forward(batch, params, masks)
 
         monkeypatch.setattr(mdl, "forward", forward)
         tr.train(cfg, tr.TrainConfig(batch_size=121, max_epochs=1), ds, echo=False)
@@ -641,9 +641,9 @@ class TestSubBatches:
         params, log = tr.train(cfg, tcfg, ds, echo=False)
         real_mlp, taped = tc.mlp, []
 
-        def float_scale_mlp(x, w1, b1, w2, b2, rate, training, keep, act):
-            if not training:
-                return real_mlp(x, w1, b1, w2, b2, rate, training, keep, act)
+        def float_scale_mlp(x, w1, b1, w2, b2, rate, keep, act):
+            if keep is None:
+                return real_mlp(x, w1, b1, w2, b2, rate, keep, act)
             taped.append(x.shape[0])
             h = x @ w1 if b1 is None else x @ w1 + b1
             c = tc._keep_scale(keep, h.shape, rate)
@@ -689,8 +689,8 @@ class TestDropoutSites:
                 return super().get(site, default)
 
         with tc.record(tc.Tape()):
-            mdl.forward(batch, params, training=True,
-                        masks=ReadLog(lane_table(np.random.default_rng(16), cfg, len(batch))))
+            mdl.forward(batch, params,
+                        ReadLog(lane_table(np.random.default_rng(16), cfg, len(batch))))
         assert reads == list(sites)
 
     def test_zero_rate_sites_are_left_out(self):
