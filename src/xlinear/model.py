@@ -209,8 +209,8 @@ def embed(x_endo: Tensor, e_exo: Tensor, params: XLinearParams, masks: dict):
         raise DimensionError(
             f"history length must be L={cfg.lookback}, got endo {x_endo.shape} "
             f"exo {e_exo.shape}")
-    x = x_endo @ params.embed_endo_w + params.embed_endo_b
-    e = e_exo @ params.embed_exo_w + params.embed_exo_b
+    x = tc.add(x_endo @ params.embed_endo_w, params.embed_endo_b, into_a=True)
+    e = tc.add(e_exo @ params.embed_exo_w, params.embed_exo_b, into_a=True)
     x = tc.dropout(x, cfg.embed_dropout, "embed_endo" in masks, masks.get("embed_endo"))
     e = tc.dropout(e, cfg.embed_dropout, "embed_exo" in masks, masks.get("embed_exo"))
     return x, e
@@ -275,7 +275,7 @@ def head(x_endo: Tensor, x_glob: Tensor, params: XLinearParams, masks: dict) -> 
     cfg = params.cfg
     z = tc.concat([x_endo, x_glob], axis=-1)
     z = tc.dropout(z, cfg.head_dropout, "head" in masks, masks.get("head"))
-    return z @ params.head_w + params.head_b
+    return tc.add(z @ params.head_w, params.head_b, into_a=True)
 
 
 def _check_finite(data: np.ndarray, stage: str):

@@ -3,10 +3,12 @@
 A :class:`Tape` records every differentiable operation executed while it
 is active (see :func:`record`). Operations append ``(output, pull)``
 nodes in execution order, which is already a topological order, so
-:func:`backward` simply walks the list once in reverse. Gradients
-accumulate into ``requires_grad`` leaves until :meth:`Tensor.zero_grad`;
-intermediate gradient buffers are released during the walk. A leaf's
-``grad`` is ``None`` until a pull reaches it, and ``None`` reads as zero.
+:func:`backward` simply walks the list once in reverse, popping each node
+before it pulls it: a node's output, intermediate gradient and pull are
+released as the walk passes them, and the tape is empty afterwards. A tape
+is walked once; gradients accumulate into ``requires_grad`` leaves over the
+walks of new tapes until :meth:`Tensor.zero_grad`. A leaf's ``grad`` is
+``None`` until a pull reaches it, and ``None`` reads as zero.
 
 With no active tape every op is a plain numpy computation, which is the
 eval-mode fast path. :func:`mlp` runs a two-layer MLP over row blocks of
@@ -21,7 +23,9 @@ Dropout reads a bool keep mask of its site's shape, drawn before the forward
 by :func:`draw_keep` from four 16-bit lanes per generator output, with one
 scalar survivor scale beside the mask; no op draws. With dropout on,
 :func:`mlp` applies relu and dropout in place in each block's hidden buffer,
-and the pull writes the block's hidden gradient back into it.
+and the pull writes the block's hidden gradient back into it. The bias adds
+onto a GEMM output that only the caller holds sum into that output
+(:func:`add`'s ``into_a``).
 """
 
 from __future__ import annotations
@@ -160,8 +164,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # arithmetic; a pull computes a gradient only for an operand that requires one
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _out(a.data + b.data, a, b)
+def add(a: Tensor, b: Tensor, into_a: bool = False) -> Tensor:
+    """``a + b``, broadcasting ``b``. ``into_a=True`` sums into ``a``'s buffer, which must
+    have the output's shape: the output shares it, so the caller must own ``a.data`` and no
+    pull may read it; a GEMM output is such a buffer, as :func:`matmul`'s pull never reads
+    its own output."""
+    out = _out(np.add(a.data, b.data, out=a.data if into_a else None), a, b)
 
     def pull(g):
         if a.requires_grad:
@@ -278,7 +286,9 @@ def activation(x: Tensor, kind: str, keep: tuple[np.ndarray, float] | None = Non
     and survivor scale ``c`` from :func:`_keep_scale` give ``x·(mask & (x > 0))·c``. It is
     computed in place in ``x``'s buffer, and the pull writes ``g·(mask & (x > 0))·c`` back
     into the same buffer, so the caller must own ``x.data``, no other pull may read it,
-    and the node is pulled once; :func:`mlp`'s hidden layer is such a buffer.
+    and the node is pulled once; :func:`mlp`'s hidden layer is such a buffer. The node
+    keeps no copy of the live set ``mask & (x > 0)``: the pull reads it back from the
+    buffer as its positive entries.
     """
     if keep is not None:
         if kind != "relu":
@@ -291,7 +301,8 @@ def activation(x: Tensor, kind: str, keep: tuple[np.ndarray, float] | None = Non
         out = _out(buf, x)
 
         def pull(g):
-            np.multiply(g, live, out=buf)
+            # a live entry is x·c > 0 with c >= 1, any other ±0 or NaN: buf > 0 is the live set
+            np.multiply(g, buf > 0.0, out=buf)
             _accum(x, np.multiply(buf, c, out=buf))
 
     else:
@@ -511,8 +522,9 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float,
     the second, and eval has the taped forward's bits. Under an active tape, or with
     dropout on, each block of ``x``'s rows is a ``split`` part run through ``matmul``, ``add``
     and the hidden layer, then ``matmul``; the parts are concatenated, ``b2`` is added and
-    ``act`` is one ``activation`` node. A layer of one block takes no ``split`` or
-    ``concat``: its rows go straight to the first ``matmul`` and its part to the ``b2`` add.
+    ``act`` is one ``activation`` node; both adds sum into the buffer before them. A layer
+    of one block takes no ``split`` or ``concat``: its rows go straight to the first
+    ``matmul`` and its part to the ``b2`` add.
     With dropout on the hidden layer is ``activation(h, "relu", (block, c))`` with ``block``
     the block's rows of ``keep``, the hidden layer's mask (for finite input, :func:`dropout`
     of relu up to the sign of a zero): it overwrites the buffer the first GEMM or bias add
@@ -548,12 +560,12 @@ def mlp(x: Tensor, w1: Tensor, b1, w2: Tensor, b2: Tensor, rate: float,
         x2 = reshape(x, (-1,) + group + (k,))
         parts = []
         for lo, xb in zip(bounds, split(x2, sizes, 0) if len(sizes) > 1 else (x2,)):
-            h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1)
+            h = matmul(xb, w1) if b1 is None else add(matmul(xb, w1), b1, into_a=True)
             lo //= period
             block = (mask[lo:lo + xb.shape[0]], c) if dropping else None
             parts.append(matmul(activation(h, "relu", block), w2))
         y = concat(parts, 0) if len(parts) > 1 else parts[0]
-        y = reshape(add(y, b2), x.shape[:-1] + (n,))
+        y = reshape(add(y, b2, into_a=True), x.shape[:-1] + (n,))
         return y if act is None else activation(y, act)
     out = np.empty((rows, n))
     walk = (x.data.reshape(rows, k), w1.data, None if b1 is None else b1.data, w2.data,
@@ -617,21 +629,23 @@ def backward(loss: Tensor, tape: Tape):
     """Populate grads of every requires_grad tensor reachable from ``loss``.
 
     Nodes whose outputs were never pulled on are skipped, so graph
-    branches that do not feed the loss cost nothing. Intermediate grad
-    buffers are dropped as the walk passes them; repeated calls without
-    zero_grad keep accumulating into the leaves.
+    branches that do not feed the loss cost nothing. The walk pops each
+    node off ``tape.nodes`` before it pulls it, so a node's output, its
+    intermediate grad and its pull's closure are freed as soon as the pull
+    has run, and the tape is empty afterwards. A tape is walked once; the
+    leaves keep accumulating until zero_grad over the walks of new tapes.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     _accum(loss, np.ones_like(loss.data))
-    for out, pull in reversed(tape.nodes):
-        g = out.grad
-        if g is None:
-            continue
-        out.grad = None
-        pull(g)
+    nodes = tape.nodes
+    while nodes:
+        out, pull = nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            pull(g)
 
 
 @dataclass

@@ -219,7 +219,6 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
     state = AdamState(params)
     stopper = EarlyStopper(train_cfg.patience)
     log = TrainLog()
-    best_arrays = params.state_arrays()
     sites = mdl.dropout_sites(model_cfg, min(train_cfg.batch_size, dio.n_windows(ds, "train", L, S)))
     buffers = {site: np.empty(shape, bool) for site, (shape, _) in sites.items()}
 
@@ -249,7 +248,7 @@ def train(model_cfg: mdl.ModelConfig, train_cfg: TrainConfig, ds: dio.TimeSeries
             print(f"epoch {e}: lr {lr:.6g} train_loss {train_loss:.6f} "
                   f"val_loss {val_loss:.6f} ({seconds:.1f}s)", file=sys.stderr)
         improved, stop = stopper.update(e, val_loss)
-        if improved:
+        if improved:  # always at epoch 0, whose finite loss beats inf
             best_arrays = params.state_arrays()
         if stop:
             log.stopped_early = True

@@ -9,6 +9,7 @@ import contextlib
 import os
 import sys
 import threading
+import weakref
 from concurrent import futures
 
 import numpy as np
@@ -428,6 +429,28 @@ class TestElementwiseGrads:
         assert one[const] is None
         assert np.array_equal(one[1 - const], both[1 - const])
 
+    @pytest.mark.parametrize("b_shape", [(3, 4, 2), (2,)])
+    def test_add_into_a_writes_a_with_the_plain_bits(self, b_shape):
+        """``add(a, b, into_a=True)`` onto a GEMM output sums into that output's buffer and
+        gives the plain add's values and gradients bit for bit, for a same-shape and for a
+        broadcast ``b``."""
+        rng = np.random.default_rng(31)
+        x_data, w_data, b_data = (rng.normal(size=s) for s in ((3, 4, 5), (5, 2), b_shape))
+        g = Tensor(rng.normal(size=(3, 4, 2)))
+        runs = []
+        for into_a in (False, True):
+            x, w, b = (Tensor(d.copy(), requires_grad=True) for d in (x_data, w_data, b_data))
+            tape = Tape()
+            with record(tape):
+                a = x @ w
+                y = tc.add(a, b, into_a=into_a)
+                loss = tc.tsum(y * g)
+            assert np.shares_memory(y.data, a.data) == into_a
+            backward(loss, tape)
+            runs.append((y.data, x.grad, w.grad, b.grad))
+        for got, want in zip(runs[1], runs[0]):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
@@ -612,7 +635,8 @@ def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-SPECIAL = np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324])
+SPECIAL = np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                    1.7e308, -1.7e308])
 
 
 class TestMaskedRelu:
@@ -621,19 +645,28 @@ class TestMaskedRelu:
 
     @pytest.fixture(autouse=True)
     def inf_times_zero_is_meant(self):
-        with np.errstate(invalid="ignore"):  # SPECIAL's inf·0 makes NaN without a warning
+        # SPECIAL's inf·0 makes NaN and 1.7e308·c overflows, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
             yield
 
     @staticmethod
-    def case(seed=20):
+    def case(seed=20, rate=0.3):
+        """``x`` holds each of SPECIAL twice, kept and then dropped by ``mask``."""
         data = np.random.default_rng(seed)
-        x = np.concatenate([SPECIAL, data.normal(size=190)]).reshape(8, 25)
-        mask, c = lane_keep(data, x.shape, 0.3)
-        g = np.concatenate([data.normal(size=190), SPECIAL]).reshape(8, 25)
+        n = 200 - 2 * SPECIAL.size
+        x = np.concatenate([SPECIAL, SPECIAL, data.normal(size=n)]).reshape(8, 25)
+        mask, c = lane_keep(data, x.shape, rate)
+        mask.reshape(-1)[:2 * SPECIAL.size] = np.repeat([True, False], SPECIAL.size)
+        g = np.concatenate([data.normal(size=n), SPECIAL, SPECIAL]).reshape(8, 25)
         return x, mask, c, g
 
-    def test_writes_over_its_input_and_pulls_into_the_same_buffer(self):
-        x, mask, c, g = self.case()
+    @pytest.mark.parametrize("rate", [1e-6, 0.1, 0.3])
+    def test_writes_over_its_input_and_pulls_into_the_same_buffer(self, rate):
+        """The pull recomputes the live set ``mask & (x > 0)`` from its output, also for the
+        least subnormal at the survivor scale ``c = 1`` of a rate whose lane threshold rounds
+        to 0, and for a value that overflows once scaled."""
+        x, mask, c, g = self.case(rate=rate)
+        assert (c == 1.0) == (rate == 1e-6)
         h = Tensor(x.copy(), requires_grad=True)
         buf = h.data
         tape = Tape()
@@ -788,10 +821,12 @@ class TestMlp:
                             h = tc.activation(h, "relu")
                         parts.append(h @ w2)
                     y = tc.reshape(tc.concat(parts, 0) + b2, (4, 5, 3))
-                backward(tc.tsum(y * y), tape)
+                loss = tc.tsum(y * y)
+                # taken before backward, which empties the tape
+                ops = [pull.__qualname__ for _, pull in tape.nodes]
+                backward(loss, tape)
             leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
-            runs.append(([pull.__qualname__ for _, pull in tape.nodes], y.data,
-                         [t.grad for t in leaves]))
+            runs.append((ops, y.data, [t.grad for t in leaves]))
             for t in leaves:
                 t.zero_grad()
         (ops, y, grads), (ref_ops, ref_y, ref_grads) = runs
@@ -830,10 +865,12 @@ class TestMlp:
                     else:
                         h = tc.activation(h, "relu")
                     y = tc.reshape(h @ w2 + b2, (3, 3, 3))
-                backward(tc.tsum(y * y), tape)
+                loss = tc.tsum(y * y)
+                # taken before backward, which empties the tape
+                ops = [pull.__qualname__.split(".")[0] for _, pull in tape.nodes]
+                backward(loss, tape)
             leaves = [t for t in (x, w1, b1, w2, b2) if t is not None]
-            runs.append(([pull.__qualname__.split(".")[0] for _, pull in tape.nodes], y.data,
-                         [t.grad for t in leaves]))
+            runs.append((ops, y.data, [t.grad for t in leaves]))
             for t in leaves:
                 t.zero_grad()
         (ops, y, grads), (ref_ops, ref_y, ref_grads) = runs
@@ -1115,6 +1152,24 @@ class TestBackward:
             assert x.grad[0] == pytest.approx(expect)
         x.zero_grad()
         assert x.grad is None
+
+    def test_the_walk_frees_each_node_and_empties_the_tape(self):
+        """``backward`` pops each node before it pulls it: an intermediate's buffer is gone
+        once the walk has passed it, while the tape is still referenced, and the tape is
+        left empty."""
+        x = Tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
+        w = Tensor(np.full((4, 2), 0.5), requires_grad=True)
+        tape = Tape()
+        with record(tape):
+            h = tc.activation(x @ w, "tanh")
+            loss = tc.tsum(h * h)
+        freed = weakref.ref(h.data)
+        del h
+        backward(loss, tape)
+        assert freed() is None
+        assert tape.nodes == []
+        y = np.tanh(x.data @ w.data)
+        np.testing.assert_allclose(w.grad, x.data.T @ (2.0 * y * (1.0 - y * y)))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
